@@ -1,5 +1,5 @@
 // --trace=<path> / --metrics=<path> support for the bench binaries
-// (bench_service, bench_ranking, bench_rerank, bench_sharded).
+// (bench_service, bench_ranking, bench_rerank).
 //
 // --trace=<path>   enables span recording for the whole run and writes the
 //                  Chrome trace_event JSON on exit (open in

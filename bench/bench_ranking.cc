@@ -8,7 +8,7 @@
 //   ranking_fixed64    — all 64 candidates straight at the final ε through
 //                        a fresh MeasureService batch, top-8 by estimate:
 //                        what ranking cost before the ε-ladder existed.
-//   ranking_adaptive64 — MeasureService::RunTopK on a fresh service: the
+//   ranking_adaptive64 — RankingService::RankTopK on a fresh service: the
 //                        ε-ladder refines survivors only.
 //
 // Both legs run the final tier at the identical (ε, δ) requests, so the
@@ -128,8 +128,9 @@ LegResult RunFixed() {
 
 LegResult RunAdaptive() {
   service::MeasureService svc;
+  service::RankingService ranking(&svc);
   util::WallTimer timer;
-  auto outcome = svc.RunTopK(MakeCandidates(/*delta=*/0.25), Ranking());
+  auto outcome = ranking.RankTopK(MakeCandidates(/*delta=*/0.25), Ranking());
   if (!outcome.ok()) {
     std::fprintf(stderr, "adaptive leg failed: %s\n",
                  outcome.status().ToString().c_str());

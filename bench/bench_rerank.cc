@@ -8,7 +8,7 @@
 //
 // Legs:
 //   rerank_cold64 — fresh session, insert all 64: identical work (and
-//                   bit-identical outcome, asserted) to RunTopK.
+//                   bit-identical outcome, asserted) to RankTopK.
 //   rerank_tail   — mutate non-contender #5, Rerank.
 //   rerank_top    — mutate top-8 member #60, Rerank (session now carries
 //                   both mutations).
@@ -17,7 +17,7 @@
 //   * each re-rank outcome is bit-identical to a COLD ranking of the same
 //     final candidate state, on fresh services with 1 and 4 threads (the
 //     rerank determinism contract, ranking_session.h);
-//   * the cold session leg is bit-identical to MeasureService::RunTopK;
+//   * the cold session leg is bit-identical to RankingService::RankTopK;
 //   * each delta re-rank costs <= 25% of the cold leg's sampling steps
 //     (the acceptance bar).
 // Rows (bench_json.h schema): samples_per_sec carries hit-and-run
@@ -226,9 +226,10 @@ int main(int argc, char** argv) {
                           "top rerank");
       }
       service::MeasureService oneshot;
-      auto via_topk = oneshot.RunTopK(Workload(0), Ranking());
+      auto via_topk =
+          service::RankingService(&oneshot).RankTopK(Workload(0), Ranking());
       if (!via_topk.ok()) {
-        std::fprintf(stderr, "RunTopK reference failed: %s\n",
+        std::fprintf(stderr, "RankTopK reference failed: %s\n",
                      via_topk.status().ToString().c_str());
         return 1;
       }
@@ -243,7 +244,7 @@ int main(int argc, char** argv) {
       if (!same || cold->total_sampling_steps !=
                        via_topk->total_sampling_steps) {
         std::fprintf(stderr,
-                     "FATAL: cold session diverges from RunTopK\n");
+                     "FATAL: cold session diverges from RankTopK\n");
         return 1;
       }
     }

@@ -34,9 +34,11 @@ void AddScaledInPlace(Vec& a, double s, const Vec& b) {
 namespace {
 
 // Thread-safe lgamma: glibc's lgamma() writes the process-global `signgam`,
-// which races when shard workers evaluate volumes concurrently. The
-// argument here is always > 0 (n/2 + 1), so the sign is statically +1 and
-// the reentrant variant (or any signgam-free implementation) is exact.
+// which races whenever two threads evaluate volumes at once — e.g. the
+// dispatchers of two MeasureService instances (geom_test's
+// BallVolumeTest.ConcurrentCallsAgree checks this under TSan). The argument
+// here is always > 0 (n/2 + 1), so the sign is statically +1 and the
+// reentrant variant (or any signgam-free implementation) is exact.
 double LGammaPositive(double x) {
 #if defined(__GLIBC__) || defined(__APPLE__)
   int sign = 0;

@@ -28,7 +28,7 @@
 // sequential calls, at a fraction of the sampling cost. Per-call reuse knobs
 // (`pool`, `body_cache` below) are what the service plugs into. Ranking
 // candidates ("which k tuples are most certain?") should go through
-// MeasureService::RunTopK (service/ranking_service.h): its ε-ladder prunes
+// RankingService::RankTopK (service/ranking_service.h): its ε-ladder prunes
 // hopeless candidates at coarse precision instead of paying the final ε for
 // all of them.
 

@@ -10,9 +10,8 @@
 // together, deterministically.
 //
 // Determinism note: the clock feeds *accounting only*. No estimator, cache
-// key, pruning decision, or RNG stream ever reads it (deadlines read it, but
-// deadline expiry changes which Status a request resolves to, never the bits
-// of a successful result). obs_test locks the fake-clock plumbing in.
+// key, pruning decision, or RNG stream ever reads it. obs_test locks the
+// fake-clock plumbing in.
 
 #ifndef MUDB_SRC_OBS_CLOCK_H_
 #define MUDB_SRC_OBS_CLOCK_H_

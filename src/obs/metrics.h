@@ -18,10 +18,10 @@
 //     (monotonic across snapshots); Reset() starts a fresh epoch.
 //
 // Naming convention: stable dotted paths, subsystem first —
-// "service.cache.hit", "shard.retry", "ranking.tier_ms". Callers fetch the
-// handle once (a function-local static is the usual idiom) and keep it; the
-// registry owns the metric for the process lifetime, so handles never
-// dangle.
+// "service.cache.hit", "service.request_ms", "ranking.pruned". Callers
+// fetch the handle once (a function-local static is the usual idiom) and
+// keep it; the registry owns the metric for the process lifetime, so
+// handles never dangle.
 //
 // The JSON snapshot (WriteJsonFile / ToJson) follows the bench_json.h
 // schema style: schema_version + flat arrays, numbers via %.17g so the
@@ -48,7 +48,7 @@
 namespace mudb::obs {
 
 /// Stripes per metric. Enough that the handful of concurrent writer threads
-/// (shard workers, router workers, pool workers) rarely share a line.
+/// (pool workers, the service dispatcher, callers) rarely share a line.
 inline constexpr int kMetricStripes = 8;
 
 /// Returns this thread's stripe slot (assigned round-robin at first use).

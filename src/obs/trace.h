@@ -11,11 +11,11 @@
 //   * Context crosses threads explicitly, never ambiently: capture
 //     CurrentContext() into the job/request struct at submit time, and
 //     adopt it on the worker with ScopedContext. ThreadPool and the
-//     ShardTransport seam do this; nothing else needs to.
+//     MeasureService dispatcher do this; nothing else needs to.
 //   * Annotations are key/value pairs on the active span — cache hit/miss
-//     with key prefix, retry attempt + backoff delay, deadline remaining,
-//     fault strikes, degradation mode, ε-tier transitions. Numeric values
-//     are stored as doubles; everything else as strings.
+//     with the request's signature prefix, batch sizes, sampling steps,
+//     ε-tier transitions. Numeric values are stored as doubles; everything
+//     else as strings.
 //
 // Hot-path cost: when tracing is disabled (the default), the Span
 // constructor is one relaxed atomic load and two pointer-sized stores; no

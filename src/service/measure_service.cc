@@ -1,6 +1,5 @@
 #include "src/service/measure_service.h"
 
-#include <cstdio>
 #include <utility>
 
 #include "src/obs/metrics.h"
@@ -9,19 +8,6 @@
 #include "src/util/timer.h"
 
 namespace mudb::service {
-
-namespace {
-
-/// Short hex prefix of a request signature for span annotations — enough
-/// to correlate spans with cache keys, without dumping 128-bit keys.
-std::string KeyPrefix(const convex::CanonicalBodyKey& key) {
-  char buf[16];
-  std::snprintf(buf, sizeof(buf), "%08llx",
-                static_cast<unsigned long long>(key.fp.hi >> 32));
-  return buf;
-}
-
-}  // namespace
 
 MeasureService::MeasureService(const ServiceOptions& options)
     : options_(options),
@@ -84,15 +70,6 @@ void MeasureService::DispatcherLoop() {
   }
 }
 
-util::Status MeasureService::Attribute(util::Status status) const {
-  if (status.ok() || options_.shard_id < 0) return status;
-  util::Status attributed(
-      status.code(), "[shard " + std::to_string(options_.shard_id) + "] " +
-                         status.message());
-  attributed.WithShard(options_.shard_id);
-  return attributed;
-}
-
 util::StatusOr<measure::MeasureResult> MeasureService::Process(
     MeasureRequest& request) {
   static obs::Counter* const m_requests =
@@ -110,10 +87,9 @@ util::StatusOr<measure::MeasureResult> MeasureService::Process(
   m_requests->Inc();
 
   // Validate the error-model knobs before grounding or memo lookups: a
-  // degenerate ε/δ must fail identically on the service and direct paths
-  // (byte-identical when unsharded; sharded services stamp their shard id).
-  util::Status valid = measure::ValidateMeasureOptions(request.options);
-  if (!valid.ok()) return Attribute(std::move(valid));
+  // degenerate ε/δ must fail byte-identically on the service and direct
+  // paths.
+  MUDB_RETURN_IF_ERROR(measure::ValidateMeasureOptions(request.options));
 
   // Resolve the formula: ground the query form first (Prop. 5.3).
   const constraints::RealFormula* formula = nullptr;
@@ -122,16 +98,15 @@ util::StatusOr<measure::MeasureResult> MeasureService::Process(
     formula = &*request.formula;
   } else {
     if (request.query == nullptr || request.db == nullptr) {
-      return Attribute(util::Status::InvalidArgument(
-          "MeasureRequest needs a formula or a (query, db, candidate)"));
+      return util::Status::InvalidArgument(
+          "MeasureRequest needs a formula or a (query, db, candidate)");
     }
     translate::GroundOptions gopts;
     gopts.max_atoms = request.options.max_ground_atoms;
     obs::Span ground_span("service.ground");
-    util::StatusOr<translate::GroundResult> grounded = translate::GroundQuery(
-        *request.query, *request.db, request.candidate, gopts);
-    if (!grounded.ok()) return Attribute(grounded.status());
-    ground = std::move(grounded).value();
+    MUDB_ASSIGN_OR_RETURN(
+        ground, translate::GroundQuery(*request.query, *request.db,
+                                       request.candidate, gopts));
     formula = &ground.formula;
   }
 
@@ -145,7 +120,7 @@ util::StatusOr<measure::MeasureResult> MeasureService::Process(
     total_request_cache_hits_.fetch_add(1, std::memory_order_relaxed);
     if (span.recording()) {
       span.Annotate("cache", "hit");
-      span.Annotate("key_prefix", KeyPrefix(signature));
+      span.Annotate("key_prefix", SignaturePrefix(signature));
     }
     m_request_ms->Observe(
         obs::Clock::NanosToMillis(obs::Clock::NowNanos() - t0));
@@ -153,7 +128,7 @@ util::StatusOr<measure::MeasureResult> MeasureService::Process(
   }
   if (span.recording()) {
     span.Annotate("cache", "miss");
-    span.Annotate("key_prefix", KeyPrefix(signature));
+    span.Annotate("key_prefix", SignaturePrefix(signature));
   }
 
   // Execute with the service's pool and body cache plugged in (caller
@@ -164,25 +139,22 @@ util::StatusOr<measure::MeasureResult> MeasureService::Process(
   util::StatusOr<measure::MeasureResult> result =
       ComputeNu(*formula, opts);
   if (!result.ok()) {
-    // Execution failures name the request (and the shard, when sharded) so
-    // one bad request in a batch of dozens is attributable from its status
-    // alone: "[req:9f3a6b21 shard 2] <engine message>".
-    return AnnotateRequestError(result.status(), signature,
-                                options_.shard_id);
+    // Execution failures name the request so one bad request in a batch of
+    // dozens is attributable from its status alone:
+    // "[req:9f3a6b21] <engine message>".
+    return AnnotateRequestError(result.status(), signature);
   }
-  if (result.ok()) {
-    total_body_cache_hits_.fetch_add(result->body_cache_hits,
-                                     std::memory_order_relaxed);
-    total_bodies_.fetch_add(result->bodies, std::memory_order_relaxed);
-    total_unique_bodies_.fetch_add(result->unique_bodies,
+  total_body_cache_hits_.fetch_add(result->body_cache_hits,
                                    std::memory_order_relaxed);
-    total_sampling_steps_.fetch_add(result->sampling_steps,
-                                    std::memory_order_relaxed);
-    total_samples_.fetch_add(result->samples, std::memory_order_relaxed);
-    m_steps->Inc(result->sampling_steps);
-    m_samples->Inc(result->samples);
-    result_cache_.Insert(signature, MemoEntry{*result});
-  }
+  total_bodies_.fetch_add(result->bodies, std::memory_order_relaxed);
+  total_unique_bodies_.fetch_add(result->unique_bodies,
+                                 std::memory_order_relaxed);
+  total_sampling_steps_.fetch_add(result->sampling_steps,
+                                  std::memory_order_relaxed);
+  total_samples_.fetch_add(result->samples, std::memory_order_relaxed);
+  m_steps->Inc(result->sampling_steps);
+  m_samples->Inc(result->samples);
+  result_cache_.Insert(signature, MemoEntry{*result});
   m_request_ms->Observe(
       obs::Clock::NanosToMillis(obs::Clock::NowNanos() - t0));
   return result;

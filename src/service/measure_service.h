@@ -53,9 +53,6 @@
 
 namespace mudb::service {
 
-struct RankingOptions;  // ranking_service.h
-struct RankingOutcome;
-
 struct ServiceOptions {
   /// Worker threads for the estimators (0 or negative = all hardware
   /// threads). Results are bit-identical for any value.
@@ -69,12 +66,6 @@ struct ServiceOptions {
   size_t result_cache_capacity = 4096;
   /// Shards for both caches (rounded up to a power of two).
   int cache_shards = 8;
-  /// Identity of this service inside a sharded fabric (sharded_service.h):
-  /// >= 0 makes every error this service produces carry the shard id, both
-  /// in the message and in the structured util::StatusContext payload, so
-  /// batch failures are attributable. -1 (the default) = unsharded; error
-  /// messages then stay byte-identical to the direct ComputeNu path.
-  int shard_id = -1;
 };
 
 /// One measurement request: a pre-grounded formula, or a (query, database,
@@ -165,14 +156,6 @@ class MeasureService {
   };
   BatchOutcome RunBatch(std::vector<MeasureRequest> requests);
 
-  /// Adaptive-precision top-k ranking over this service's caches: walks an
-  /// ε-ladder, pruning candidates whose confidence interval falls below
-  /// the k-th best, so most candidates never pay for the final precision.
-  /// One batch per tier (defined in ranking_service.cc; see RankingService
-  /// for the ladder, δ-split, and determinism contract).
-  util::StatusOr<RankingOutcome> RunTopK(
-      std::vector<MeasureRequest> candidates, const RankingOptions& options);
-
   /// Cache introspection (cheap; safe to call any time).
   CacheStats body_cache_stats() const { return body_cache_.stats(); }
   int64_t body_cache_steps_saved() const { return body_cache_.steps_saved(); }
@@ -196,10 +179,6 @@ class MeasureService {
 
   void DispatcherLoop();
   util::StatusOr<measure::MeasureResult> Process(MeasureRequest& request);
-  /// Stamps the shard id onto pre-signature errors (validation, grounding)
-  /// when this service runs inside a sharded fabric; pass-through when
-  /// unsharded, keeping those messages byte-identical to the direct path.
-  util::Status Attribute(util::Status status) const;
 
   ServiceOptions options_;
   std::unique_ptr<util::ThreadPool> owned_pool_;

@@ -81,10 +81,4 @@ util::StatusOr<RankingOutcome> RankingService::RankTopK(
   return outcome;
 }
 
-util::StatusOr<RankingOutcome> MeasureService::RunTopK(
-    std::vector<MeasureRequest> candidates, const RankingOptions& options) {
-  RankingService ranking(this);
-  return ranking.RankTopK(std::move(candidates), options);
-}
-
 }  // namespace mudb::service

@@ -1,7 +1,6 @@
 #include "src/service/service_errors.h"
 
 #include <cstdio>
-#include <utility>
 
 namespace mudb::service {
 
@@ -17,23 +16,10 @@ std::string CandidateRef(uint64_t id) {
 }
 
 util::Status AnnotateRequestError(util::Status status,
-                                  const convex::CanonicalBodyKey& signature,
-                                  int shard_id, int attempts) {
+                                  const convex::CanonicalBodyKey& signature) {
   if (status.ok()) return status;
-  std::string message = "[" + SignaturePrefix(signature);
-  if (shard_id >= 0) message += " shard " + std::to_string(shard_id);
-  message += "] " + status.message();
-  util::Status annotated(status.code(), std::move(message));
-  if (shard_id >= 0) annotated.WithShard(shard_id);
-  if (attempts > 0) annotated.WithAttempts(attempts);
-  // Preserve any context the inner layer already attached.
-  if (shard_id < 0 && status.context().shard_id >= 0) {
-    annotated.WithShard(status.context().shard_id);
-  }
-  if (attempts <= 0 && status.context().attempts > 0) {
-    annotated.WithAttempts(status.context().attempts);
-  }
-  return annotated;
+  return util::Status(status.code(), "[" + SignaturePrefix(signature) + "] " +
+                                         status.message());
 }
 
 }  // namespace mudb::service

@@ -1,13 +1,13 @@
 // Shared error formatting for the serving layer.
 //
 // Batch callers see one Status per request; when dozens of requests fail
-// together the message must say *which* request on *which* shard, or the
-// failure is unattributable. Every service error path funnels through these
-// helpers so the format stays uniform: a short request-signature prefix
-// (the stable content address of request_key.h — greppable across runs,
-// since the signature is a pure function of the request), the shard id when
-// sharded, and the structured util::StatusContext payload for callers that
-// want fields instead of strings.
+// together the message must say *which* request failed, or the failure is
+// unattributable. Every service error path funnels through these helpers so
+// the format stays uniform: a short request-signature prefix (the stable
+// content address of request_key.h — greppable across runs, since the
+// signature is a pure function of the request). The same prefix annotates
+// the request's `service.process` span, so traces and error messages name a
+// request with one token.
 
 #ifndef MUDB_SRC_SERVICE_SERVICE_ERRORS_H_
 #define MUDB_SRC_SERVICE_SERVICE_ERRORS_H_
@@ -28,14 +28,11 @@ std::string SignaturePrefix(const convex::CanonicalBodyKey& key);
 /// RankingSession's delta validation and grounding error paths.
 std::string CandidateRef(uint64_t id);
 
-/// Prepends "[req:<prefix>] " (plus " shard N" when shard_id >= 0) to the
-/// status message and attaches the structured context payload. OK statuses
-/// pass through untouched; re-annotation is idempotent per field (the
-/// prefix is only added once per annotate call — callers annotate at the
-/// boundary where the context is known, not at every frame).
+/// Prepends "[req:<prefix>] " to the status message, keeping the code. OK
+/// statuses pass through untouched. Callers annotate once, at the boundary
+/// where the signature is known, not at every frame.
 util::Status AnnotateRequestError(util::Status status,
-                                  const convex::CanonicalBodyKey& signature,
-                                  int shard_id = -1, int attempts = 0);
+                                  const convex::CanonicalBodyKey& signature);
 
 }  // namespace mudb::service
 

@@ -20,26 +20,8 @@ const char* StatusCodeToString(StatusCode code) {
       return "FailedPrecondition";
     case StatusCode::kResourceExhausted:
       return "ResourceExhausted";
-    case StatusCode::kUnavailable:
-      return "Unavailable";
-    case StatusCode::kDeadlineExceeded:
-      return "DeadlineExceeded";
-    case StatusCode::kAborted:
-      return "Aborted";
   }
   return "Unknown";
-}
-
-bool IsRetryableStatusCode(StatusCode code) {
-  switch (code) {
-    case StatusCode::kUnavailable:
-    case StatusCode::kDeadlineExceeded:
-    case StatusCode::kAborted:
-    case StatusCode::kResourceExhausted:
-      return true;
-    default:
-      return false;
-  }
 }
 
 std::string Status::ToString() const {
@@ -47,19 +29,6 @@ std::string Status::ToString() const {
   std::string out = StatusCodeToString(code_);
   out += ": ";
   out += message_;
-  if (!context_.empty()) {
-    out += " [";
-    if (context_.shard_id >= 0) {
-      out += "shard ";
-      out += std::to_string(context_.shard_id);
-      if (context_.attempts > 0) out += ", ";
-    }
-    if (context_.attempts > 0) {
-      out += "attempt ";
-      out += std::to_string(context_.attempts);
-    }
-    out += "]";
-  }
   return out;
 }
 

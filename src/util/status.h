@@ -18,14 +18,6 @@
 namespace mudb::util {
 
 /// Canonical error codes, a small subset of the absl/gRPC code space.
-///
-/// The serving layer splits these into two classes (the layered
-/// retryable-vs-permanent taxonomy of SNIPPETS.md §3): *transient* codes
-/// describe a condition that can clear on its own — retry with backoff, a
-/// fresh deadline, or a different shard may succeed — while *permanent*
-/// codes describe the request itself (malformed input, missing entity,
-/// broken invariant) and retrying verbatim can never help. IsRetryable()
-/// below is the classification clients and the sharded router key off.
 enum class StatusCode {
   kOk = 0,
   kInvalidArgument = 1,
@@ -35,41 +27,15 @@ enum class StatusCode {
   kInternal = 5,
   kFailedPrecondition = 6,
   kResourceExhausted = 7,
-  /// Transient: the target (a shard, a backend) cannot serve right now.
-  kUnavailable = 8,
-  /// The per-request deadline expired before a result was produced.
-  /// Retryable — but only with a fresh deadline; the sharded router never
-  /// retries it within the same request.
-  kDeadlineExceeded = 9,
-  /// The operation was cut short (typically by a concurrent conflict or an
-  /// injected fault) without completing; safe to retry.
-  kAborted = 10,
 };
 
 /// One past the largest StatusCode value. Lets tests iterate the enum so a
 /// newly added code cannot silently print as "Unknown".
 inline constexpr int kNumStatusCodes =
-    static_cast<int>(StatusCode::kAborted) + 1;
+    static_cast<int>(StatusCode::kResourceExhausted) + 1;
 
 /// Returns a stable human-readable name for a status code ("InvalidArgument").
 const char* StatusCodeToString(StatusCode code);
-
-/// True for the transient codes (kUnavailable, kDeadlineExceeded, kAborted,
-/// kResourceExhausted): the same request may succeed on retry. Everything
-/// else — including kOk — is not retryable.
-bool IsRetryableStatusCode(StatusCode code);
-
-/// Structured context carried by serving-layer errors so batch failures are
-/// attributable: which shard failed, after how many delivery attempts.
-/// Default-constructed = "no context" (shard_id < 0, attempts == 0).
-struct StatusContext {
-  /// Shard that produced (or was targeted by) the failure; -1 = unsharded.
-  int shard_id = -1;
-  /// Transport attempts consumed when the status was produced (0 = unset).
-  int attempts = 0;
-
-  bool empty() const { return shard_id < 0 && attempts == 0; }
-};
 
 /// The result of an operation that can fail. Cheap to copy when OK.
 class Status {
@@ -106,52 +72,17 @@ class Status {
   static Status ResourceExhausted(std::string msg) {
     return Status(StatusCode::kResourceExhausted, std::move(msg));
   }
-  static Status Unavailable(std::string msg) {
-    return Status(StatusCode::kUnavailable, std::move(msg));
-  }
-  static Status DeadlineExceeded(std::string msg) {
-    return Status(StatusCode::kDeadlineExceeded, std::move(msg));
-  }
-  static Status Aborted(std::string msg) {
-    return Status(StatusCode::kAborted, std::move(msg));
-  }
 
   bool ok() const { return code_ == StatusCode::kOk; }
   StatusCode code() const { return code_; }
   const std::string& message() const { return message_; }
 
-  /// True when a retry of the same operation may succeed (see StatusCode).
-  bool IsRetryable() const { return IsRetryableStatusCode(code_); }
-
-  /// Attaches/reads the structured serving-layer context. The setters
-  /// return *this so call sites can annotate in one expression:
-  ///   return Status::Unavailable("...").WithShard(2).WithAttempts(3);
-  Status& WithShard(int shard_id) & {
-    context_.shard_id = shard_id;
-    return *this;
-  }
-  Status&& WithShard(int shard_id) && {
-    context_.shard_id = shard_id;
-    return std::move(*this);
-  }
-  Status& WithAttempts(int attempts) & {
-    context_.attempts = attempts;
-    return *this;
-  }
-  Status&& WithAttempts(int attempts) && {
-    context_.attempts = attempts;
-    return std::move(*this);
-  }
-  const StatusContext& context() const { return context_; }
-
-  /// "OK" or "<CodeName>: <message>", with a " [shard N, attempt M]" suffix
-  /// when context is attached.
+  /// "OK" or "<CodeName>: <message>".
   std::string ToString() const;
 
  private:
   StatusCode code_;
   std::string message_;
-  StatusContext context_;
 };
 
 std::ostream& operator<<(std::ostream& os, const Status& status);

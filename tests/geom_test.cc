@@ -1,11 +1,14 @@
 // Tests for src/geom: vector helpers, ball volumes, sampling, arc sets.
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/geom/arcs.h"
 #include "src/geom/geometry.h"
+#include "src/util/thread_pool.h"
 
 namespace mudb::geom {
 namespace {
@@ -50,6 +53,23 @@ TEST(BallVolumeTest, KnownClosedForms) {
   EXPECT_NEAR(BallVolume(3), 4.0 / 3.0 * M_PI, 1e-12);
   EXPECT_NEAR(BallVolume(2, 2.0), 4 * M_PI, 1e-12);    // scales as r^n
   EXPECT_NEAR(BallVolume(3, 0.5), BallVolume(3) / 8, 1e-12);
+}
+
+TEST(BallVolumeTest, ConcurrentCallsAgree) {
+  // glibc's lgamma() writes the process-global signgam, so BallVolume must
+  // stay on a reentrant lgamma: under TSan (CI runs this suite there) a
+  // plain lgamma races across the pool's workers.
+  constexpr int64_t kCalls = 64;
+  auto dim = [](int64_t i) { return static_cast<int>(i % 9); };
+  std::vector<double> serial(kCalls);
+  for (int64_t i = 0; i < kCalls; ++i) serial[i] = BallVolume(dim(i), 1.5);
+  std::vector<double> concurrent(kCalls, 0.0);
+  util::ThreadPool pool(4);
+  pool.ParallelFor(kCalls,
+                   [&](int64_t i) { concurrent[i] = BallVolume(dim(i), 1.5); });
+  for (int64_t i = 0; i < kCalls; ++i) {
+    EXPECT_EQ(concurrent[i], serial[i]) << "call " << i;
+  }
 }
 
 TEST(SamplingTest, SphereSamplesHaveUnitNorm) {

@@ -1,9 +1,9 @@
 // Tests for src/obs: histogram bucket determinism, quantiles against exact
 // references, snapshot-vs-concurrent-writers exactness (this suite runs
 // under TSan in CI), span parentage within a thread and across the
-// ThreadPool and ShardTransport seams, the observability determinism
-// contract (tracing on/off leaves every result bit-identical), and
-// fake-clock-driven durations.
+// ThreadPool and MeasureService dispatcher seams, the observability
+// determinism contract (tracing on/off leaves every result bit-identical),
+// and fake-clock-driven durations.
 
 #include <atomic>
 #include <cmath>
@@ -22,8 +22,6 @@
 #include "src/obs/trace.h"
 #include "src/poly/polynomial.h"
 #include "src/service/measure_service.h"
-#include "src/service/sharded_service.h"
-#include "src/util/deadline.h"
 #include "src/util/thread_pool.h"
 #include "src/util/timer.h"
 
@@ -276,62 +274,33 @@ TEST(SpanTest, ParentCrossesTheThreadPoolSeam) {
   EXPECT_EQ(tasks, 16);
 }
 
-TEST(SpanTest, ParentCrossesTheShardTransportSeam) {
+TEST(SpanTest, ParentCrossesTheServiceDispatcherSeam) {
   ScopedTracing tracing;
-  service::ShardedServiceOptions opts;
-  opts.num_shards = 2;
-  opts.router_threads = 2;
-  opts.retry.max_attempts = 3;
-  opts.retry.backoff.initial_ms = 0.01;
-  opts.retry.backoff.max_ms = 0.05;
-  service::FaultInjectorOptions faults;
-  faults.seed = 7;
-  faults.unavailable_rate = 0.5;  // aggressive: retries are certain
-  opts.faults = faults;
-
-  service::ShardedMeasureService service(opts);
+  service::MeasureService svc;
   std::vector<service::MeasureRequest> reqs;
-  for (uint64_t s = 0; s < 8; ++s) {
-    reqs.push_back(service::MeasureRequest::Nu(Orthant3D(), FprasOpts(31 + s)));
+  for (uint64_t s = 0; s < 4; ++s) {
+    reqs.push_back(service::MeasureRequest::Nu(Orthant3D(), FprasOpts(61 + s)));
   }
-  auto outcome = service.RunBatch(std::move(reqs));
+  auto outcome = svc.RunBatch(std::move(reqs));
   for (const auto& r : outcome.results) ASSERT_TRUE(r.ok()) << r.status();
 
   std::vector<SpanRecord> spans = CollectSpans();
-  std::map<uint64_t, const SpanRecord*> by_id;
   const SpanRecord* batch = nullptr;
   for (const SpanRecord& s : spans) {
-    by_id[s.span_id] = &s;
-    if (s.name == "shard.batch") batch = &s;
+    if (s.name == "service.batch") batch = &s;
   }
   ASSERT_NE(batch, nullptr);
-  int requests = 0, attempts = 0, backoffs = 0;
+  EXPECT_EQ(batch->trace_id, outcome.trace_id);
+  int processed = 0;
   for (const SpanRecord& s : spans) {
-    if (s.name == "shard.request") {
-      ++requests;
-      // The router worker adopted the submitter's context.
-      EXPECT_EQ(s.parent_id, batch->span_id);
-      EXPECT_EQ(s.trace_id, batch->trace_id);
-    } else if (s.name == "shard.attempt" || s.name == "shard.backoff") {
-      (s.name == "shard.attempt" ? attempts : backoffs) += 1;
-      // Attempts and backoff sleeps parent under their request's span.
-      auto parent = by_id.find(s.parent_id);
-      ASSERT_NE(parent, by_id.end()) << s.name;
-      EXPECT_EQ(parent->second->name, "shard.request") << s.name;
-    }
+    if (s.name != "service.process") continue;
+    ++processed;
+    // The dispatcher thread adopted the submitter's context, so every
+    // request span parents under the batch span and shares its trace.
+    EXPECT_EQ(s.parent_id, batch->span_id);
+    EXPECT_EQ(s.trace_id, batch->trace_id);
   }
-  EXPECT_EQ(requests, 8);
-  // The 50% fault schedule forces retries: more attempts than requests, and
-  // each retry sleeps a backoff first.
-  EXPECT_GT(attempts, requests);
-  EXPECT_GT(backoffs, 0);
-  // The per-response flight-recorder handle fetches exactly that tree.
-  for (const auto& r : outcome.results) {
-    ASSERT_NE(r->trace_id, 0u);
-    std::vector<SpanRecord> tree = CollectTrace(r->trace_id);
-    EXPECT_FALSE(tree.empty());
-    for (const SpanRecord& s : tree) EXPECT_EQ(s.trace_id, r->trace_id);
-  }
+  EXPECT_EQ(processed, 4);
 }
 
 // ---- The determinism contract -----------------------------------------------
@@ -418,18 +387,11 @@ TEST(FakeClockTest, SpanDurationsAreExactUnderTheFakeClock) {
   EXPECT_EQ(spans[0].DurationMillis(), 2.0);
 }
 
-TEST(FakeClockTest, WallTimerAndDeadlineFollowTheFakeClock) {
+TEST(FakeClockTest, WallTimerFollowsTheFakeClock) {
   ScopedFakeClock clock(int64_t{0});
   util::WallTimer timer;
   clock.AdvanceMillis(5.0);
   EXPECT_EQ(timer.ElapsedMillis(), 5.0);
-
-  util::Deadline deadline = util::Deadline::After(10.0);
-  EXPECT_FALSE(deadline.expired());
-  EXPECT_EQ(deadline.remaining_ms(), 10.0);
-  clock.AdvanceMillis(10.0);
-  EXPECT_TRUE(deadline.expired());
-  EXPECT_EQ(deadline.remaining_ms(), 0.0);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Tests for the incremental re-ranking session
-// (src/service/ranking_session.h): cold-session equivalence with RunTopK,
+// (src/service/ranking_session.h): cold-session equivalence with RankTopK,
 // the rerank determinism contract (rerank outcome ≡ cold rank of the same
 // final state, at any thread count, for any delta sequence), content-keyed
 // invalidation (identical-content updates keep every warm tier), streaming
@@ -106,18 +106,19 @@ void ExpectSameRanking(const RerankOutcome& a, const RerankOutcome& b,
   }
 }
 
-TEST(RankingSessionTest, ColdSessionMatchesRunTopK) {
+TEST(RankingSessionTest, ColdSessionMatchesRankTopK) {
   MeasureService session_service;
   RankingSession session(&session_service, WedgeRanking());
   auto cold = session.Rerank(InsertAll(WedgeBattery()));
   ASSERT_TRUE(cold.ok()) << cold.status();
 
   MeasureService oneshot_service;
-  auto oneshot = oneshot_service.RunTopK(WedgeBattery(), WedgeRanking());
+  RankingService oneshot_ranking(&oneshot_service);
+  auto oneshot = oneshot_ranking.RankTopK(WedgeBattery(), WedgeRanking());
   ASSERT_TRUE(oneshot.ok()) << oneshot.status();
 
   // Ids of a fresh session are dense input indices, so the outcomes align
-  // positionally — and a cold session pays exactly what RunTopK pays.
+  // positionally — and a cold session pays exactly what RankTopK pays.
   ASSERT_EQ(cold->candidates.size(), oneshot->candidates.size());
   ASSERT_EQ(cold->top_k.size(), oneshot->top_k.size());
   for (size_t r = 0; r < cold->top_k.size(); ++r) {

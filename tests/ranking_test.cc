@@ -89,8 +89,9 @@ TEST(RankingTest, BitIdenticalAcrossThreadCounts) {
   ServiceOptions base;
   base.num_threads = 1;
   MeasureService reference_service(base);
+  RankingService reference_ranking(&reference_service);
   auto reference =
-      reference_service.RunTopK(WedgeBattery(0.2), WedgeRanking());
+      reference_ranking.RankTopK(WedgeBattery(0.2), WedgeRanking());
   ASSERT_TRUE(reference.ok()) << reference.status();
   ASSERT_EQ(reference->top_k.size(), 4u);
 
@@ -98,7 +99,8 @@ TEST(RankingTest, BitIdenticalAcrossThreadCounts) {
     ServiceOptions sopts;
     sopts.num_threads = threads;
     MeasureService service(sopts);
-    auto outcome = service.RunTopK(WedgeBattery(0.2), WedgeRanking());
+    RankingService ranking(&service);
+    auto outcome = ranking.RankTopK(WedgeBattery(0.2), WedgeRanking());
     ASSERT_TRUE(outcome.ok()) << outcome.status();
     ExpectSameOutcome(*reference, *outcome);
   }
@@ -106,8 +108,9 @@ TEST(RankingTest, BitIdenticalAcrossThreadCounts) {
 
 TEST(RankingTest, ShuffledCandidateOrderPermutesTheOutcome) {
   MeasureService reference_service;
+  RankingService reference_ranking(&reference_service);
   auto reference =
-      reference_service.RunTopK(WedgeBattery(0.2), WedgeRanking());
+      reference_ranking.RankTopK(WedgeBattery(0.2), WedgeRanking());
   ASSERT_TRUE(reference.ok()) << reference.status();
 
   std::mt19937_64 gen(13);
@@ -121,7 +124,8 @@ TEST(RankingTest, ShuffledCandidateOrderPermutesTheOutcome) {
     for (size_t i : perm) shuffled.push_back(std::move(original[i]));
 
     MeasureService service;
-    auto outcome = service.RunTopK(std::move(shuffled), WedgeRanking());
+    RankingService ranking(&service);
+    auto outcome = ranking.RankTopK(std::move(shuffled), WedgeRanking());
     ASSERT_TRUE(outcome.ok()) << outcome.status();
 
     // Map the shuffled outcome back: position j held original perm[j].
@@ -172,7 +176,8 @@ TEST(RankingTest, TopKSetMatchesFixedPrecisionFullBatch) {
   fixed_order.resize(ropts.k);
 
   MeasureService adaptive_service;
-  auto adaptive = adaptive_service.RunTopK(WedgeBattery(0.2), ropts);
+  RankingService adaptive_ranking(&adaptive_service);
+  auto adaptive = adaptive_ranking.RankTopK(WedgeBattery(0.2), ropts);
   ASSERT_TRUE(adaptive.ok()) << adaptive.status();
 
   // Identical top-k set, and for its members the adaptive final estimates
@@ -195,7 +200,8 @@ TEST(RankingTest, TopKSetMatchesFixedPrecisionFullBatch) {
 
 TEST(RankingTest, PruningRefinesOnlySurvivors) {
   MeasureService service;
-  auto outcome = service.RunTopK(WedgeBattery(0.2), WedgeRanking());
+  RankingService ranking(&service);
+  auto outcome = ranking.RankTopK(WedgeBattery(0.2), WedgeRanking());
   ASSERT_TRUE(outcome.ok()) << outcome.status();
 
   // All three tiers executed, with monotonically shrinking batches and
@@ -245,7 +251,8 @@ TEST(RankingTest, ExactCandidatesFreezeAtTierZero) {
   RankingOptions ropts;
   ropts.k = 3;
   MeasureService service;
-  auto outcome = service.RunTopK(std::move(reqs), ropts);
+  RankingService ranking(&service);
+  auto outcome = ranking.RankTopK(std::move(reqs), ropts);
   ASSERT_TRUE(outcome.ok()) << outcome.status();
 
   std::vector<size_t> expected = {7, 6, 5};
@@ -262,63 +269,53 @@ TEST(RankingTest, ExactCandidatesFreezeAtTierZero) {
   }
 }
 
-TEST(RankingTest, RunTopKMatchesRankingServiceComposition) {
-  MeasureService via_member;
-  auto member = via_member.RunTopK(WedgeBattery(0.25), WedgeRanking());
-  ASSERT_TRUE(member.ok()) << member.status();
-
-  MeasureService via_class;
-  RankingService ranking(&via_class);
-  auto composed = ranking.RankTopK(WedgeBattery(0.25), WedgeRanking());
-  ASSERT_TRUE(composed.ok()) << composed.status();
-  ExpectSameOutcome(*member, *composed);
-}
-
 TEST(RankingTest, ValidationRejectsBadOptions) {
   MeasureService service;
+  RankingService ranking(&service);
 
   RankingOptions bad_k;
   bad_k.k = 0;
-  EXPECT_EQ(service.RunTopK(WedgeBattery(0.2), bad_k).status().code(),
+  EXPECT_EQ(ranking.RankTopK(WedgeBattery(0.2), bad_k).status().code(),
             util::StatusCode::kInvalidArgument);
 
   RankingOptions bad_delta;
   bad_delta.delta = 1.0;
-  EXPECT_EQ(service.RunTopK(WedgeBattery(0.2), bad_delta).status().code(),
+  EXPECT_EQ(ranking.RankTopK(WedgeBattery(0.2), bad_delta).status().code(),
             util::StatusCode::kInvalidArgument);
 
   RankingOptions flat_ladder;
   flat_ladder.ladder = {0.2, 0.2};
   EXPECT_EQ(
-      service.RunTopK(WedgeBattery(0.1), flat_ladder).status().code(),
+      ranking.RankTopK(WedgeBattery(0.1), flat_ladder).status().code(),
       util::StatusCode::kInvalidArgument);
 
   RankingOptions wide_ladder;
   wide_ladder.ladder = {1.5, 0.2};
   EXPECT_EQ(
-      service.RunTopK(WedgeBattery(0.1), wide_ladder).status().code(),
+      ranking.RankTopK(WedgeBattery(0.1), wide_ladder).status().code(),
       util::StatusCode::kInvalidArgument);
 
   // A candidate with degenerate (ε, δ) fails up front — no tier runs.
   std::vector<MeasureRequest> reqs = WedgeBattery(0.2);
   reqs[3].options.delta = 2.0;
-  auto outcome = service.RunTopK(std::move(reqs), WedgeRanking());
+  auto outcome = ranking.RankTopK(std::move(reqs), WedgeRanking());
   EXPECT_EQ(outcome.status().code(), util::StatusCode::kInvalidArgument);
   EXPECT_EQ(service.lifetime_stats().requests, 0);
 }
 
 TEST(RankingTest, ValidationRejectsBadSessionKnobs) {
   MeasureService service;
+  RankingService ranking(&service);
 
   RankingOptions bad_per_estimate;
   bad_per_estimate.per_estimate_delta = 1.0;
   EXPECT_EQ(
-      service.RunTopK(WedgeBattery(0.2), bad_per_estimate).status().code(),
+      ranking.RankTopK(WedgeBattery(0.2), bad_per_estimate).status().code(),
       util::StatusCode::kInvalidArgument);
 
   RankingOptions negative_per_estimate;
   negative_per_estimate.per_estimate_delta = -0.1;
-  EXPECT_EQ(service.RunTopK(WedgeBattery(0.2), negative_per_estimate)
+  EXPECT_EQ(ranking.RankTopK(WedgeBattery(0.2), negative_per_estimate)
                 .status()
                 .code(),
             util::StatusCode::kInvalidArgument);
@@ -326,21 +323,22 @@ TEST(RankingTest, ValidationRejectsBadSessionKnobs) {
   RankingOptions small_budget;
   small_budget.adaptive_ladder = true;
   small_budget.max_tiers = 1;
-  EXPECT_EQ(service.RunTopK(WedgeBattery(0.2), small_budget).status().code(),
+  EXPECT_EQ(ranking.RankTopK(WedgeBattery(0.2), small_budget).status().code(),
             util::StatusCode::kInvalidArgument);
   EXPECT_EQ(service.lifetime_stats().requests, 0);
 }
 
 TEST(RankingTest, NegativeKIsRejectedBeforeAnyWork) {
   MeasureService service;
+  RankingService ranking(&service);
   RankingOptions negative_k;
   negative_k.k = -3;
-  auto outcome = service.RunTopK(WedgeBattery(0.2), negative_k);
+  auto outcome = ranking.RankTopK(WedgeBattery(0.2), negative_k);
   EXPECT_EQ(outcome.status().code(), util::StatusCode::kInvalidArgument);
   // k = 0 and k < 0 both fail the same validation, with zero requests
   // executed — the nth_element path must never see a degenerate k.
   negative_k.k = 0;
-  EXPECT_EQ(service.RunTopK(WedgeBattery(0.2), negative_k).status().code(),
+  EXPECT_EQ(ranking.RankTopK(WedgeBattery(0.2), negative_k).status().code(),
             util::StatusCode::kInvalidArgument);
   EXPECT_EQ(service.lifetime_stats().requests, 0);
 }
@@ -352,7 +350,8 @@ TEST(RankingTest, KLargerThanNRanksEveryCandidate) {
   RankingOptions ropts = WedgeRanking();
   ropts.k = kWedges + 20;
   MeasureService service;
-  auto outcome = service.RunTopK(WedgeBattery(0.2), ropts);
+  RankingService ranking(&service);
+  auto outcome = ranking.RankTopK(WedgeBattery(0.2), ropts);
   ASSERT_TRUE(outcome.ok()) << outcome.status();
   ASSERT_EQ(outcome->top_k.size(), static_cast<size_t>(kWedges));
   for (const RankedCandidate& cand : outcome->candidates) {
@@ -367,9 +366,10 @@ TEST(RankingTest, KLargerThanNRanksEveryCandidate) {
 
 TEST(RankingTest, EmptyCandidateListWithLargeKIsStillEmpty) {
   MeasureService service;
+  RankingService ranking(&service);
   RankingOptions ropts;
   ropts.k = 5;
-  auto outcome = service.RunTopK({}, ropts);
+  auto outcome = ranking.RankTopK({}, ropts);
   ASSERT_TRUE(outcome.ok()) << outcome.status();
   EXPECT_TRUE(outcome->top_k.empty());
   EXPECT_TRUE(outcome->candidates.empty());
@@ -388,7 +388,8 @@ TEST(RankingTest, PruningCascadeNeverShrinksActiveSetBelowK) {
   ropts.ladder = {0.8, 0.5, 0.3, 0.15};
   ropts.delta = 0.1;
   MeasureService service;
-  auto outcome = service.RunTopK(WedgeBattery(0.1), ropts);
+  RankingService ranking(&service);
+  auto outcome = ranking.RankTopK(WedgeBattery(0.1), ropts);
   ASSERT_TRUE(outcome.ok()) << outcome.status();
 
   int survivors = 0;
@@ -423,7 +424,8 @@ TEST(RankingTest, DuplicateCandidatesGetBitIdenticalIntervalsAndTieOrder) {
   }
   RankingOptions ropts = WedgeRanking();
   MeasureService service;
-  auto outcome = service.RunTopK(std::move(reqs), ropts);
+  RankingService ranking(&service);
+  auto outcome = ranking.RankTopK(std::move(reqs), ropts);
   ASSERT_TRUE(outcome.ok()) << outcome.status();
 
   for (size_t pair = 0; pair < 8; ++pair) {
@@ -463,13 +465,15 @@ TEST(RankingTest, RequestErrorsPropagate) {
       RealFormula::Cmp(Z(0) * Z(1) - C(1), CmpOp::kLt),
       Opts(Method::kFpras, 0.2, 42));
   MeasureService service;
-  auto outcome = service.RunTopK(std::move(reqs), WedgeRanking());
+  RankingService ranking(&service);
+  auto outcome = ranking.RankTopK(std::move(reqs), WedgeRanking());
   EXPECT_EQ(outcome.status().code(), util::StatusCode::kInvalidArgument);
 }
 
 TEST(RankingTest, EmptyCandidateListYieldsEmptyOutcome) {
   MeasureService service;
-  auto outcome = service.RunTopK({}, RankingOptions{});
+  RankingService ranking(&service);
+  auto outcome = ranking.RankTopK({}, RankingOptions{});
   ASSERT_TRUE(outcome.ok());
   EXPECT_TRUE(outcome->top_k.empty());
   EXPECT_TRUE(outcome->candidates.empty());

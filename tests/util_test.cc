@@ -1,9 +1,7 @@
-// Unit tests for src/util: Status/StatusOr, Deadline, Backoff, Rational,
-// Rng, ThreadPool.
+// Unit tests for src/util: Status/StatusOr, Rational, Rng, ThreadPool.
 
 #include <atomic>
 #include <cmath>
-#include <cstring>
 #include <memory>
 #include <numeric>
 #include <random>
@@ -13,8 +11,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/util/backoff.h"
-#include "src/util/deadline.h"
 #include "src/util/parallel.h"
 #include "src/util/rational.h"
 #include "src/util/rng.h"
@@ -56,10 +52,6 @@ TEST(StatusTest, CodeNamesAreStable) {
   EXPECT_STREQ(StatusCodeToString(StatusCode::kNotFound), "NotFound");
   EXPECT_STREQ(StatusCodeToString(StatusCode::kResourceExhausted),
                "ResourceExhausted");
-  EXPECT_STREQ(StatusCodeToString(StatusCode::kUnavailable), "Unavailable");
-  EXPECT_STREQ(StatusCodeToString(StatusCode::kDeadlineExceeded),
-               "DeadlineExceeded");
-  EXPECT_STREQ(StatusCodeToString(StatusCode::kAborted), "Aborted");
 }
 
 TEST(StatusTest, EveryCodeHasAName) {
@@ -74,124 +66,6 @@ TEST(StatusTest, EveryCodeHasAName) {
   }
   // Names are distinct, so messages never alias two codes.
   EXPECT_EQ(names.size(), static_cast<size_t>(kNumStatusCodes));
-}
-
-TEST(StatusTest, RetryableClassification) {
-  // The layered taxonomy: transient codes retry, permanent codes do not.
-  EXPECT_TRUE(Status::Unavailable("").IsRetryable());
-  EXPECT_TRUE(Status::DeadlineExceeded("").IsRetryable());
-  EXPECT_TRUE(Status::Aborted("").IsRetryable());
-  EXPECT_TRUE(Status::ResourceExhausted("").IsRetryable());
-  EXPECT_FALSE(Status::OK().IsRetryable());
-  EXPECT_FALSE(Status::InvalidArgument("").IsRetryable());
-  EXPECT_FALSE(Status::NotFound("").IsRetryable());
-  EXPECT_FALSE(Status::OutOfRange("").IsRetryable());
-  EXPECT_FALSE(Status::Unimplemented("").IsRetryable());
-  EXPECT_FALSE(Status::Internal("").IsRetryable());
-  EXPECT_FALSE(Status::FailedPrecondition("").IsRetryable());
-}
-
-TEST(StatusTest, ContextPayloadRoundTrips) {
-  Status s = Status::Unavailable("shard hop failed").WithShard(3)
-                 .WithAttempts(2);
-  EXPECT_EQ(s.context().shard_id, 3);
-  EXPECT_EQ(s.context().attempts, 2);
-  EXPECT_FALSE(s.context().empty());
-  EXPECT_EQ(s.ToString(), "Unavailable: shard hop failed [shard 3, attempt 2]");
-
-  // Context survives copies (batch callers stash statuses in vectors).
-  Status copy = s;
-  EXPECT_EQ(copy.context().shard_id, 3);
-  EXPECT_EQ(copy.context().attempts, 2);
-
-  Status plain = Status::NotFound("x");
-  EXPECT_TRUE(plain.context().empty());
-  EXPECT_EQ(plain.ToString(), "NotFound: x");
-
-  Status shard_only = Status::Aborted("y").WithShard(0);
-  EXPECT_EQ(shard_only.ToString(), "Aborted: y [shard 0]");
-  Status attempts_only = Status::Aborted("y").WithAttempts(4);
-  EXPECT_EQ(attempts_only.ToString(), "Aborted: y [attempt 4]");
-}
-
-// ---- Deadline --------------------------------------------------------------
-
-TEST(DeadlineTest, InfiniteNeverExpires) {
-  Deadline d;
-  EXPECT_TRUE(d.infinite());
-  EXPECT_FALSE(d.expired());
-  EXPECT_TRUE(std::isinf(d.remaining_ms()));
-  EXPECT_FALSE(Deadline::Infinite().expired());
-}
-
-TEST(DeadlineTest, NonPositiveBudgetIsAlreadyExpired) {
-  EXPECT_TRUE(Deadline::After(0).expired());
-  EXPECT_TRUE(Deadline::After(-5).expired());
-}
-
-TEST(DeadlineTest, FutureDeadlineHasBudgetThenExpires) {
-  Deadline d = Deadline::After(1e7);  // ~3 hours: never expires in-test
-  EXPECT_FALSE(d.infinite());
-  EXPECT_FALSE(d.expired());
-  EXPECT_GT(d.remaining_ms(), 0.0);
-
-  Deadline soon = Deadline::After(1.0);
-  WallTimer timer;
-  while (!soon.expired() && timer.ElapsedMillis() < 1000.0) {
-  }
-  EXPECT_TRUE(soon.expired());
-  EXPECT_LE(soon.remaining_ms(), 0.0);
-}
-
-// ---- Backoff ---------------------------------------------------------------
-
-TEST(BackoffTest, DelaysGrowGeometricallyAndCap) {
-  BackoffPolicy policy;
-  policy.initial_ms = 1.0;
-  policy.multiplier = 2.0;
-  policy.max_ms = 8.0;
-  policy.jitter = 0.0;
-  Rng rng(7);
-  EXPECT_DOUBLE_EQ(policy.DelayMs(0, rng), 1.0);
-  EXPECT_DOUBLE_EQ(policy.DelayMs(1, rng), 2.0);
-  EXPECT_DOUBLE_EQ(policy.DelayMs(2, rng), 4.0);
-  EXPECT_DOUBLE_EQ(policy.DelayMs(3, rng), 8.0);
-  EXPECT_DOUBLE_EQ(policy.DelayMs(9, rng), 8.0);  // capped, no overflow
-}
-
-TEST(BackoffTest, JitterIsDeterministicPerStream) {
-  BackoffPolicy policy;
-  policy.initial_ms = 1.0;
-  policy.jitter = 0.5;
-  // Same request seed → identical delay schedule; distinct seeds diverge.
-  Rng a = BackoffRng(42);
-  Rng b = BackoffRng(42);
-  Rng c = BackoffRng(43);
-  bool diverged = false;
-  for (int attempt = 0; attempt < 8; ++attempt) {
-    double da = policy.DelayMs(attempt, a);
-    double db = policy.DelayMs(attempt, b);
-    double dc = policy.DelayMs(attempt, c);
-    EXPECT_EQ(da, db) << "attempt " << attempt;
-    // Jittered delays stay within [1 - jitter, 1] × the base delay.
-    double base = std::min(policy.initial_ms *
-                               std::pow(policy.multiplier, attempt),
-                           policy.max_ms);
-    EXPECT_LE(da, base);
-    EXPECT_GE(da, base * (1.0 - policy.jitter));
-    diverged = diverged || da != dc;
-  }
-  EXPECT_TRUE(diverged);
-}
-
-TEST(BackoffTest, JitterStreamIsDisjointFromEstimatorStreams) {
-  // The backoff substream tag sits far outside the positional indices the
-  // estimators use, so the jitter draws never replay a sampling substream.
-  Rng request_rng(42);
-  Rng jitter = BackoffRng(42);
-  for (uint64_t i = 0; i < 64; ++i) {
-    EXPECT_NE(request_rng.Split(i).seed(), jitter.seed());
-  }
 }
 
 StatusOr<int> ParsePositive(int x) {

@@ -2,17 +2,16 @@
 """mudb-lint: machine-enforcement of the mudb determinism contract.
 
 Every estimate this repo produces must be bit-identical for any thread
-count, shard count, fault schedule, or tracing mode (ARCHITECTURE.md,
-"Determinism contract"). The contract used to live in prose and in runtime
+count or tracing mode (ARCHITECTURE.md, "Determinism contract"). The contract used to live in prose and in runtime
 tests that catch violations after the fact; this linter encodes it as named,
 token-level rules that run on every push with no compiler dependency.
 
 Rules (see BUILDING.md "Static analysis" for the policy):
 
   no-raw-clock        std::chrono::{steady,system,high_resolution}_clock::now()
-                      anywhere outside src/obs/clock.cc. All timers and
-                      deadlines go through obs::Clock so tests can fake time
-                      and so no result-producing path can observe wall time.
+                      anywhere outside src/obs/clock.cc. All timers go
+                      through obs::Clock so tests can fake time and so no
+                      result-producing path can observe wall time.
   no-ambient-entropy  std::random_device, rand(), srand(), time(nullptr),
                       getenv() in src/. All randomness flows from the caller
                       seed via util::Rng substreams; configuration flows
@@ -25,9 +24,9 @@ Rules (see BUILDING.md "Static analysis" for the policy):
   no-raw-thread       std::thread storage or construction, std::jthread,
                       std::async, pthread_create, hardware_concurrency()
                       in src/ outside util::ThreadPool. Ad-hoc threads
-                      bypass the pool's substream/grid discipline; the two
-                      documented service dispatcher/router sites carry
-                      inline allow-pragmas with reasons.
+                      bypass the pool's substream/grid discipline; the
+                      documented service dispatcher site carries inline
+                      allow-pragmas with reasons.
   no-threadcount-grid A thread-count value (num_threads, NumThreads(),
                       ResolveThreadCount(), hardware_concurrency()) linked
                       by arithmetic or assignment to a chunk/grid/lane-
@@ -478,7 +477,7 @@ def build_rules():
     return [
         RegexRule(
             "no-raw-clock",
-            "raw std::chrono clock read; all timers/deadlines must go "
+            "raw std::chrono clock read; all timers must go "
             "through obs::Clock (src/obs/clock.h) so time is fakeable and "
             "result paths can never observe it",
             [r"\b(?:steady_clock|system_clock|high_resolution_clock)"
@@ -500,7 +499,7 @@ def build_rules():
             "no-signgam-lgamma",
             "lgamma/signgam outside the reentrant wrapper; glibc lgamma() "
             "writes the process-global `signgam` (data race under "
-            "concurrent shards) — call mudb::geom's wrapper instead",
+            "concurrent callers) — call mudb::geom's wrapper instead",
             [r"\b(?:lgamma_r|lgammaf_r|lgammaf|lgammal|lgamma|signgam)\b"],
             everywhere,
             exempt=("src/geom/geometry.cc",)),
