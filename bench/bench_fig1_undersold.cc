@@ -1,6 +1,6 @@
 // Figure 1(b): "Never Knowingly Undersold" — time vs ε (see fig1_common.h).
 // Reconstruction notes (division multiplied out, O linked to P, M.rrp for
-// the garbled "M.id") are in EXPERIMENTS.md.
+// the garbled "M.id") are in bench/e2e/EXPERIMENTS.md.
 
 #include "bench/fig1_common.h"
 

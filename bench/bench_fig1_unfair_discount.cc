@@ -1,5 +1,5 @@
 // Figure 1(c): "Unfair Discount" — time vs ε (see fig1_common.h).
-// Reconstruction notes are in EXPERIMENTS.md.
+// Reconstruction notes are in bench/e2e/EXPERIMENTS.md.
 
 #include "bench/fig1_common.h"
 

@@ -5,8 +5,9 @@
 // closed form, and an AFPRAS estimate.
 //
 // Note: the paper states the offset as 1/2; the direct angle calculation for
-// the literal formula {x >= 0, y <= αx} gives 1/4 (see EXPERIMENTS.md). The
-// proposition's content — irrationality of μ for α ∉ {0, ±1} — is unchanged.
+// the literal formula {x >= 0, y <= αx} gives 1/4 (see
+// bench/e2e/EXPERIMENTS.md). The proposition's content — irrationality of μ
+// for α ∉ {0, ±1} — is unchanged.
 
 #include <cmath>
 #include <cstdio>

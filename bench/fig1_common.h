@@ -9,7 +9,7 @@
 // decreases, sub-linear-in-ε elsewhere; absolute numbers differ from the
 // paper's Python/NumPy prototype (this is native code), but the curve's
 // shape and the "seconds, not minutes, even at ε = 0.01" conclusion carry
-// over. See EXPERIMENTS.md.
+// over. See bench/e2e/EXPERIMENTS.md.
 
 #ifndef MUDB_BENCH_FIG1_COMMON_H_
 #define MUDB_BENCH_FIG1_COMMON_H_

@@ -7,27 +7,24 @@
 
 namespace mudb::convex {
 
-void ConvexBody::AddHalfspace(geom::Vec a, double b) {
+void ConvexBody::AddHalfspace(const geom::Vec& a, double b) {
   MUDB_CHECK(static_cast<int>(a.size()) == dim_);
   a_flat_.insert(a_flat_.end(), a.begin(), a.end());
   b_.push_back(b);
-  halfspaces_.emplace_back(std::move(a), b);
 }
 
-void ConvexBody::AddBall(geom::Vec center, double radius) {
+void ConvexBody::AddBall(const geom::Vec& center, double radius) {
   MUDB_CHECK(static_cast<int>(center.size()) == dim_);
   MUDB_CHECK(radius > 0);
   ball_centers_flat_.insert(ball_centers_flat_.end(), center.begin(),
                             center.end());
   ball_radius2_.push_back(radius * radius);
-  balls_.push_back(BallConstraint{std::move(center), radius});
 }
 
 void ConvexBody::SetBallRadius(int index, double radius) {
   MUDB_CHECK(index >= 0 && index < num_balls());
   MUDB_CHECK(radius > 0);
   ball_radius2_[index] = radius * radius;
-  balls_[index].radius = radius;
 }
 
 bool ConvexBody::Contains(const geom::Vec& x) const {

@@ -10,10 +10,9 @@
 //
 // Storage is cache-contiguous for the sampling hot path: the halfspace
 // normals live in one flat row-major m×n buffer (plus the offset vector b),
-// and ball constraints are SoA (flat k×n centers, radii, squared radii).
-// A structure-of-pairs mirror is maintained for cold callers of
-// halfspaces()/balls(); both views describe the same constraints at all
-// times, so there is no finalize step and copies stay cheap value semantics.
+// and ball constraints are SoA (flat k×n centers, squared radii). These
+// flat views are the only copy of the constraints, so there is no finalize
+// step and copies stay cheap value semantics.
 
 #ifndef MUDB_SRC_CONVEX_BODY_H_
 #define MUDB_SRC_CONVEX_BODY_H_
@@ -28,12 +27,6 @@
 
 namespace mudb::convex {
 
-/// A ball constraint ||x - center|| <= radius.
-struct BallConstraint {
-  geom::Vec center;
-  double radius;
-};
-
 /// An intersection of halfspaces {x : a·x <= b} and balls. Dimension is fixed
 /// at construction.
 class ConvexBody {
@@ -43,18 +36,13 @@ class ConvexBody {
   int dim() const { return dim_; }
 
   /// Adds {x : a·x <= b}; a must have size dim().
-  void AddHalfspace(geom::Vec a, double b);
+  void AddHalfspace(const geom::Vec& a, double b);
   /// Adds ||x - center|| <= radius.
-  void AddBall(geom::Vec center, double radius);
+  void AddBall(const geom::Vec& center, double radius);
   /// Replaces the radius of ball `index` in place. The annealing volume
   /// estimator reuses one phase body across its radius schedule instead of
   /// copying the whole constraint system per phase.
   void SetBallRadius(int index, double radius);
-
-  const std::vector<std::pair<geom::Vec, double>>& halfspaces() const {
-    return halfspaces_;
-  }
-  const std::vector<BallConstraint>& balls() const { return balls_; }
 
   /// Flat views for the sampling kernels. Row-major: halfspace i is
   /// halfspace_matrix()[i*dim() .. i*dim()+dim()), ball k's center is
@@ -82,9 +70,6 @@ class ConvexBody {
   std::vector<double> b_;                  // m
   std::vector<double> ball_centers_flat_;  // k × dim, row-major
   std::vector<double> ball_radius2_;       // k
-  // Cold mirror for structured accessors.
-  std::vector<std::pair<geom::Vec, double>> halfspaces_;
-  std::vector<BallConstraint> balls_;
 };
 
 /// An inscribed ball of a body, used to seed the annealing schedule.

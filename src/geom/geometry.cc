@@ -35,7 +35,7 @@ namespace {
 
 // Thread-safe lgamma: glibc's lgamma() writes the process-global `signgam`,
 // which races whenever two threads evaluate volumes at once — e.g. the
-// dispatchers of two MeasureService instances (geom_test's
+// callers of two MeasureService instances (geom_test's
 // BallVolumeTest.ConcurrentCallsAgree checks this under TSan). The argument
 // here is always > 0 (n/2 + 1), so the sign is statically +1 and the
 // reentrant variant (or any signgam-free implementation) is exact.

@@ -147,7 +147,7 @@ util::StatusOr<FprasBodySet> BuildFprasBodies(
   for (size_t i = 0; i < cones.size(); ++i) {
     if (!inners[i]) continue;  // empty interior: volume 0
     convex::ConvexBody body(dim);
-    for (auto& [a, b] : cones[i]) body.AddHalfspace(std::move(a), b);
+    for (const auto& [a, b] : cones[i]) body.AddHalfspace(a, b);
     body.AddBall(geom::Vec(dim, 0.0), 1.0);
     double outer_bound = 1.0 + geom::Norm(inners[i]->center) + 1e-9;
     set.bodies.push_back(

@@ -48,7 +48,7 @@
 namespace mudb::obs {
 
 /// Stripes per metric. Enough that the handful of concurrent writer threads
-/// (pool workers, the service dispatcher, callers) rarely share a line.
+/// (pool workers, callers) rarely share a line.
 inline constexpr int kMetricStripes = 8;
 
 /// Returns this thread's stripe slot (assigned round-robin at first use).

@@ -10,8 +10,8 @@
 //     trace_id — that id names the whole per-request tree.
 //   * Context crosses threads explicitly, never ambiently: capture
 //     CurrentContext() into the job/request struct at submit time, and
-//     adopt it on the worker with ScopedContext. ThreadPool and the
-//     MeasureService dispatcher do this; nothing else needs to.
+//     adopt it on the worker with ScopedContext. ThreadPool does this;
+//     nothing else needs to.
 //   * Annotations are key/value pairs on the active span — cache hit/miss
 //     with the request's signature prefix, batch sizes, sampling steps,
 //     ε-tier transitions. Numeric values are stored as doubles; everything

@@ -33,7 +33,7 @@
 //
 // Determinism contract: the returned ranking is a pure function of the
 // candidate list and options. Each tier is one MeasureService batch — bit-
-// deterministic per request for any thread count, submission order, and
+// deterministic per request for any thread count, batch order, and
 // cache state — and the pruning decision reads only the tier-t estimates,
 // in candidate index order, with ties broken by input index; timing never
 // enters. Corollary: permuting the input permutes the outcome by exactly

@@ -12,7 +12,6 @@
 #include "src/obs/trace.h"
 #include "src/service/request_key.h"
 #include "src/service/service_errors.h"
-#include "src/translate/ground.h"
 
 namespace mudb::service {
 
@@ -112,6 +111,21 @@ std::optional<double> NextAdaptiveEps(
   return eps;
 }
 
+// A delta's request must carry valid options and a formula; `what` names
+// the candidate in the message.
+util::Status ValidateRequest(const MeasureRequest& request,
+                             const std::string& what) {
+  util::Status valid = measure::ValidateMeasureOptions(request.options);
+  if (!valid.ok()) {
+    return util::Status::InvalidArgument(what + ": " + valid.message());
+  }
+  if (!request.formula.has_value()) {
+    return util::Status::InvalidArgument(what +
+                                         ": MeasureRequest needs a formula");
+  }
+  return util::Status::OK();
+}
+
 }  // namespace
 
 RankingSession::Slot* RankingSession::FindSlot(CandidateId id) {
@@ -131,35 +145,6 @@ std::optional<SessionCandidate> RankingSession::Candidate(
   const Slot* slot = FindSlot(id);
   if (slot == nullptr || !slot->ranked) return std::nullopt;
   return slot->last;
-}
-
-util::StatusOr<MeasureRequest> RankingSession::ResolveRequest(
-    MeasureRequest request, const std::string& what) {
-  util::Status valid = measure::ValidateMeasureOptions(request.options);
-  if (!valid.ok()) {
-    return util::Status::InvalidArgument(what + ": " + valid.message());
-  }
-  if (!request.formula.has_value()) {
-    if (request.query == nullptr || request.db == nullptr) {
-      return util::Status::InvalidArgument(
-          what + ": MeasureRequest needs a formula or a (query, db, candidate)");
-    }
-    translate::GroundOptions gopts;
-    gopts.max_atoms = request.options.max_ground_atoms;
-    util::StatusOr<translate::GroundResult> ground = translate::GroundQuery(
-        *request.query, *request.db, request.candidate, gopts);
-    if (!ground.ok()) {
-      return util::Status(ground.status().code(),
-                          what + ": " + ground.status().message());
-    }
-    request.formula = std::move(ground.value().formula);
-    // Drop the borrowed pointers: the session holds requests across calls,
-    // and the grounded formula is all the ladder needs.
-    request.query = nullptr;
-    request.db = nullptr;
-    request.candidate = model::Tuple{};
-  }
-  return request;
 }
 
 void RankingSession::ReleaseSlot(Slot& slot) {
@@ -187,8 +172,8 @@ util::Status RankingSession::ApplyDelta(RankingDelta&& delta,
     span.Annotate("removals", static_cast<double>(delta.removals.size()));
     span.Annotate("updates", static_cast<double>(delta.updates.size()));
   }
-  // Validate and resolve EVERYTHING before touching the session, so a bad
-  // delta is all-or-nothing.
+  // Validate EVERYTHING before touching the session, so a bad delta is
+  // all-or-nothing.
   // Error references go through service_errors.h (CandidateRef) so session
   // messages stay format-uniform with the rest of the serving layer.
   std::unordered_set<CandidateId> removed;
@@ -198,27 +183,23 @@ util::Status RankingSession::ApplyDelta(RankingDelta&& delta,
     }
     removed.insert(id);
   }
-  std::vector<std::pair<CandidateId, MeasureRequest>> staged_updates;
-  staged_updates.reserve(delta.updates.size());
-  for (auto& [id, request] : delta.updates) {
+  std::unordered_set<CandidateId> updated;
+  for (const auto& [id, request] : delta.updates) {
     if (FindSlot(id) == nullptr || removed.count(id) > 0) {
       return util::Status::NotFound("update: unknown " + CandidateRef(id));
     }
-    MUDB_ASSIGN_OR_RETURN(
-        MeasureRequest resolved,
-        ResolveRequest(std::move(request), CandidateRef(id)));
-    staged_updates.emplace_back(id, std::move(resolved));
+    // A second update of one id would count and invalidate it twice.
+    if (!updated.insert(id).second) {
+      return util::Status::InvalidArgument("update: repeated " +
+                                           CandidateRef(id));
+    }
+    MUDB_RETURN_IF_ERROR(ValidateRequest(request, CandidateRef(id)));
   }
-  std::vector<MeasureRequest> staged_inserts;
-  staged_inserts.reserve(delta.inserts.size());
   for (size_t j = 0; j < delta.inserts.size(); ++j) {
     // Inserts are named by the id they are about to receive, which for a
     // fresh session makes the message match the input index.
-    MUDB_ASSIGN_OR_RETURN(
-        MeasureRequest resolved,
-        ResolveRequest(std::move(delta.inserts[j]),
-                       CandidateRef(next_id_ + j)));
-    staged_inserts.push_back(std::move(resolved));
+    MUDB_RETURN_IF_ERROR(
+        ValidateRequest(delta.inserts[j], CandidateRef(next_id_ + j)));
   }
 
   // Commit: removals → updates → inserts.
@@ -229,29 +210,29 @@ util::Status RankingSession::ApplyDelta(RankingDelta&& delta,
     ReleaseSlot(*it);
     candidates_.erase(it);
   }
-  for (auto& [id, resolved] : staged_updates) {
+  for (auto& [id, request] : delta.updates) {
     Slot& slot = *FindSlot(id);
     convex::CanonicalBodyKey key =
-        RequestSignature(*resolved.formula, resolved.options);
+        RequestSignature(*request.formula, request.options);
     if (key == slot.content_key) {
       // Identical content: the mutation is a no-op and every warm tier
       // survives (this is the content-keyed part of invalidation).
-      slot.request = std::move(resolved);
+      slot.request = std::move(request);
       continue;
     }
     ReleaseSlot(slot);
-    slot.request = std::move(resolved);
+    slot.request = std::move(request);
     slot.content_key = key;
     slot.last = SessionCandidate{};
     slot.last.id = slot.id;
     slot.ranked = false;
     ++outcome->invalidated;
   }
-  for (MeasureRequest& resolved : staged_inserts) {
+  for (MeasureRequest& request : delta.inserts) {
     Slot slot;
     slot.id = next_id_++;
-    slot.content_key = RequestSignature(*resolved.formula, resolved.options);
-    slot.request = std::move(resolved);
+    slot.content_key = RequestSignature(*request.formula, request.options);
+    slot.request = std::move(request);
     slot.last.id = slot.id;
     outcome->inserted_ids.push_back(slot.id);
     candidates_.push_back(std::move(slot));

@@ -33,7 +33,7 @@
 // Determinism contract (the rerank contract): top_k, and every candidate's
 // result / pruned / frozen fields, are a pure function of the session's
 // final (id → candidate content) map and the options — independent of
-// thread count, submission order, and the delta sequence that produced the
+// thread count, batch order, and the delta sequence that produced the
 // state. Corollary: they are bit-identical to a cold ranking of the same
 // final candidate set (a fresh session, or RankTopK when ids are dense) —
 // bench_rerank hard-asserts this across thread counts before reporting.
@@ -54,7 +54,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -73,7 +72,8 @@ using CandidateId = uint64_t;
 
 /// One batch of changes. Applied atomically (all-or-nothing) in the order
 /// removals → updates → inserts; an id unknown at its point of application
-/// fails the whole delta with NotFound and leaves the session untouched.
+/// fails the whole delta with NotFound, and an id updated twice fails it
+/// with InvalidArgument, leaving the session untouched.
 struct RankingDelta {
   /// New candidates; ids are assigned in order and returned in
   /// RerankOutcome::inserted_ids.
@@ -138,13 +138,12 @@ class RankingSession {
   RankingSession& operator=(const RankingSession&) = delete;
 
   /// Applies `delta`, then ranks the surviving candidates. On any error —
-  /// invalid options, unknown id, a request that fails to ground or
-  /// evaluate — the returned outcome is the error status; delta validation
-  /// failures leave the session untouched, while an evaluation failure
-  /// leaves the delta applied and every tier completed so far warm (fix or
-  /// remove the offending candidate and Rerank again). Query-form requests
-  /// are grounded once here; they borrow their Query/Database only for the
-  /// duration of the call.
+  /// invalid options, an unknown or repeated id, a request without a
+  /// formula or one that fails to evaluate — the returned outcome is the
+  /// error status; delta validation failures leave the session untouched,
+  /// while an evaluation failure leaves the delta applied and every tier
+  /// completed so far warm (fix or remove the offending candidate and
+  /// Rerank again).
   util::StatusOr<RerankOutcome> Rerank(RankingDelta delta = {});
 
   /// Live candidate count.
@@ -158,7 +157,7 @@ class RankingSession {
  private:
   struct Slot {
     CandidateId id = 0;
-    MeasureRequest request;  // always formula-form after grounding
+    MeasureRequest request;  // validated: carries a formula
     convex::CanonicalBodyKey content_key;  // signature of (content, options)
     std::vector<convex::CanonicalBodyKey> owned_sigs;  // memo refs held
     // Last successful rank's outcome (introspection only; rebuilt per
@@ -173,10 +172,6 @@ class RankingSession {
   using MemoMap = std::unordered_map<convex::CanonicalBodyKey, MemoEntry,
                                      convex::CanonicalBodyKey::Hash>;
 
-  /// Grounds a query-form request into formula form (no-op for formula
-  /// requests); validates its MeasureOptions.
-  util::StatusOr<MeasureRequest> ResolveRequest(MeasureRequest request,
-                                                const std::string& what);
   util::Status ApplyDelta(RankingDelta&& delta, RerankOutcome* outcome);
   void ReleaseSlot(Slot& slot);
   void TakeRef(Slot& slot, const convex::CanonicalBodyKey& sig);

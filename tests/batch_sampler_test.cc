@@ -5,6 +5,7 @@
 // contract that lets the estimator chain grids route through the batched
 // kernel without perturbing any estimate.
 
+#include <cmath>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -44,7 +45,7 @@ RandomBody MakeRandomBody(int dim, util::Rng& rng) {
     for (int j = 0; j < dim; ++j) c[j] = rng.Uniform(-0.4, 0.4);
     geom::Vec diff = geom::AddScaled(out.inside, -1.0, c);
     double radius = geom::Norm(diff) + rng.Uniform(0.3, 1.5);
-    out.body.AddBall(std::move(c), radius);
+    out.body.AddBall(c, radius);
   }
   return out;
 }
@@ -189,7 +190,7 @@ TEST(BatchSamplerTest, SetBallRadiusThenResetMatchesFreshScalar) {
   }
   batched.WalkAll(64, lane_rngs.data());
 
-  const double grown = rb.body.balls()[ball].radius * 1.5;
+  const double grown = std::sqrt(rb.body.ball_radius2()[ball]) * 1.5;
   rb.body.SetBallRadius(ball, grown);
   for (int l = 0; l < lanes; ++l) {
     lane_rngs[l] = util::Rng(700 + l);

@@ -21,11 +21,16 @@ struct Row {
   double b;
 };
 
+struct Ball {
+  geom::Vec center;
+  double radius;
+};
+
 ConvexBody BodyFromRows(int dim, const std::vector<Row>& rows,
-                        const std::vector<BallConstraint>& balls) {
+                        const std::vector<Ball>& balls) {
   ConvexBody body(dim);
   for (const Row& row : rows) body.AddHalfspace(row.a, row.b);
-  for (const BallConstraint& ball : balls) body.AddBall(ball.center, ball.radius);
+  for (const Ball& ball : balls) body.AddBall(ball.center, ball.radius);
   return body;
 }
 
@@ -43,8 +48,8 @@ TEST(CanonicalTest, RowPermutationInvariance) {
       }
       rows.push_back({a, static_cast<double>(coeff(gen))});
     }
-    std::vector<BallConstraint> balls{{geom::Vec(dim, 0.0), 1.0},
-                                      {geom::Vec(dim, 0.5), 2.0}};
+    std::vector<Ball> balls{{geom::Vec(dim, 0.0), 1.0},
+                            {geom::Vec(dim, 0.5), 2.0}};
     CanonicalBodyKey base = CanonicalizeBody(BodyFromRows(dim, rows, balls));
     std::shuffle(rows.begin(), rows.end(), gen);
     std::shuffle(balls.begin(), balls.end(), gen);
@@ -95,7 +100,7 @@ TEST(CanonicalTest, DuplicatedConstraintsCollapse) {
   EXPECT_EQ(k1, CanonicalizeBody(BodyFromRows(2, scaled_dup, {})));
 
   // Duplicate balls collapse too.
-  BallConstraint ball{geom::Vec{0.0, 0.0}, 1.0};
+  Ball ball{geom::Vec{0.0, 0.0}, 1.0};
   EXPECT_EQ(CanonicalizeBody(BodyFromRows(2, once, {ball})),
             CanonicalizeBody(BodyFromRows(2, once, {ball, ball})));
 }

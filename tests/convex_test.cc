@@ -156,7 +156,6 @@ TEST(BodyTest, SetBallRadiusMatchesFreshlyBuiltBody) {
       EXPECT_EQ(a->second, b->second);
     }
   }
-  EXPECT_EQ(mutated.balls()[0].radius, 0.6);
   EXPECT_EQ(mutated.ball_radius2()[0], 0.36);
 }
 

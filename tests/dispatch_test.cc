@@ -1,6 +1,7 @@
 // Tests for the measure-dispatch layer (ComputeNu / ComputeMeasure): engine
-// selection, exactness reporting, option validation, and the zero-one law of
-// [27] recovered for queries without numeric comparisons.
+// selection, exactness reporting, option validation (the grounding cap
+// included), and the zero-one law of [27] recovered for queries without
+// numeric comparisons.
 
 #include <algorithm>
 
@@ -323,6 +324,37 @@ TEST(DispatchTest, NumericNullCandidateValue) {
   auto other = ComputeMeasure(*q, db, {Value::NumNull(999)}, opts);
   ASSERT_TRUE(other.ok());
   EXPECT_DOUBLE_EQ(other->value, 0.0);
+}
+
+TEST(DispatchTest, GroundAtomCapBoundsComputeMeasure) {
+  // R(num) with one numeric null; q = ∃x R(x) ∧ x > 0  ⇒  μ = ν(z0 > 0).
+  Database db;
+  ASSERT_TRUE(
+      db.CreateRelation(RelationSchema("R", {{"x", Sort::kNum}})).ok());
+  ASSERT_TRUE(db.Insert("R", {db.MakeNumNull()}).ok());
+  Formula f = Formula::Exists(TypedVar{"x", Sort::kNum}, Formula::And([] {
+                                std::vector<Formula> v;
+                                v.push_back(Formula::Rel(
+                                    "R", {AtomArg::NumVar("x")}));
+                                v.push_back(Formula::Cmp(
+                                    logic::Term::Var("x"), logic::CmpOp::kGt,
+                                    logic::Term::Const(0)));
+                                return v;
+                              }()));
+  auto q = logic::Query::Make(std::move(f), db);
+  ASSERT_TRUE(q.ok());
+
+  MeasureOptions opts;  // kAuto: one variable ⇒ exact 2-D engine
+  auto mu = ComputeMeasure(*q, db, {}, opts);
+  ASSERT_TRUE(mu.ok()) << mu.status();
+  EXPECT_TRUE(mu->is_exact);
+  EXPECT_NEAR(mu->value, 0.5, 1e-9);
+
+  // max_ground_atoms bounds what one call may cost before sampling: a
+  // budget of zero atoms fails with ResourceExhausted.
+  opts.max_ground_atoms = 0;
+  auto capped = ComputeMeasure(*q, db, {}, opts);
+  EXPECT_EQ(capped.status().code(), util::StatusCode::kResourceExhausted);
 }
 
 }  // namespace

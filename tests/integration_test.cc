@@ -22,8 +22,8 @@ using measure::MeasureOptions;
 using model::Value;
 
 // The three §9 queries, with the reconstructions documented in
-// EXPERIMENTS.md (divisions multiplied out; Orders linked to Products in the
-// undersold query; M.rrp for the garbled "M.id").
+// bench/e2e/EXPERIMENTS.md (divisions multiplied out; Orders linked to
+// Products in the undersold query; M.rrp for the garbled "M.id").
 constexpr const char* kCompetitiveAdvantage =
     "SELECT P.seg FROM Products P, Market M "
     "WHERE P.seg = M.seg AND P.rrp * P.dis <= M.rrp * M.dis LIMIT 25";
@@ -210,7 +210,7 @@ TEST(IntegrationTest, CampaignExampleViaFullQuery) {
   // Restricted to the positive quadrant, the conditional measure matches the
   // intro's 0.611-style reasoning for the literal query; the printed paper
   // values (0.097 / 0.388) correspond to the flipped comparison — covered in
-  // translate_test and EXPERIMENTS.md.
+  // translate_test and bench/e2e/EXPERIMENTS.md.
   MeasureOptions afpras_opts;
   afpras_opts.method = measure::Method::kAfpras;
   afpras_opts.epsilon = 0.02;

@@ -1,7 +1,7 @@
 // Tests for src/obs: histogram bucket determinism, quantiles against exact
 // references, snapshot-vs-concurrent-writers exactness (this suite runs
-// under TSan in CI), span parentage within a thread and across the
-// ThreadPool and MeasureService dispatcher seams, the observability
+// under TSan in CI), span parentage within a thread, across the ThreadPool
+// seam and from a service batch to its requests, the observability
 // determinism contract (tracing on/off leaves every result bit-identical),
 // and fake-clock-driven durations.
 
@@ -274,7 +274,7 @@ TEST(SpanTest, ParentCrossesTheThreadPoolSeam) {
   EXPECT_EQ(tasks, 16);
 }
 
-TEST(SpanTest, ParentCrossesTheServiceDispatcherSeam) {
+TEST(SpanTest, ServiceProcessSpansParentUnderTheirBatch) {
   ScopedTracing tracing;
   service::MeasureService svc;
   std::vector<service::MeasureRequest> reqs;
@@ -295,7 +295,7 @@ TEST(SpanTest, ParentCrossesTheServiceDispatcherSeam) {
   for (const SpanRecord& s : spans) {
     if (s.name != "service.process") continue;
     ++processed;
-    // The dispatcher thread adopted the submitter's context, so every
+    // Requests run inside the batch on the caller's thread, so every
     // request span parents under the batch span and shares its trace.
     EXPECT_EQ(s.parent_id, batch->span_id);
     EXPECT_EQ(s.trace_id, batch->trace_id);

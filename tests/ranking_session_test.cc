@@ -4,11 +4,13 @@
 // final state, at any thread count, for any delta sequence), content-keyed
 // invalidation (identical-content updates keep every warm tier), streaming
 // inserts/removals under per_estimate_delta, the adaptive ladder, engine
-// routing, all-or-nothing delta failures, and introspection.
+// routing, all-or-nothing delta failures (a repeated update id included),
+// and introspection.
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,6 +19,7 @@
 #include "src/service/measure_service.h"
 #include "src/service/ranking_service.h"
 #include "src/service/ranking_session.h"
+#include "src/service/service_errors.h"
 
 namespace mudb::service {
 namespace {
@@ -400,6 +403,18 @@ TEST(RankingSessionTest, BadDeltasAreAllOrNothing) {
   unknown_update.updates.emplace_back(999, WedgeRequest(0));
   EXPECT_EQ(session.Rerank(std::move(unknown_update)).status().code(),
             util::StatusCode::kNotFound);
+
+  // One id updated twice, even when the second update restores its
+  // original content, fails before anything commits and names the id.
+  RankingDelta twice;
+  twice.updates.emplace_back(5, WedgeRequest(0));
+  twice.updates.emplace_back(5, WedgeRequest(5));
+  auto twice_outcome = session.Rerank(std::move(twice));
+  EXPECT_EQ(twice_outcome.status().code(),
+            util::StatusCode::kInvalidArgument);
+  EXPECT_NE(twice_outcome.status().message().find(CandidateRef(5)),
+            std::string::npos)
+      << twice_outcome.status();
 
   // A valid removal bundled with an invalid insert must not be applied.
   RankingDelta mixed;

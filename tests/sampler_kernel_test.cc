@@ -62,9 +62,15 @@ std::optional<std::pair<double, double>> ReferenceChord(const ConvexBody& body,
                                                         const geom::Vec& d) {
   double lo = -std::numeric_limits<double>::infinity();
   double hi = std::numeric_limits<double>::infinity();
-  for (const auto& [a, b] : body.halfspaces()) {
-    double ad = geom::Dot(a, d);
-    double ax = geom::Dot(a, x);
+  const int n = body.dim();
+  for (int i = 0; i < body.num_halfspaces(); ++i) {
+    const double* a = body.halfspace_matrix() + static_cast<size_t>(i) * n;
+    double ad = 0.0, ax = 0.0;
+    for (int j = 0; j < n; ++j) {
+      ad += a[j] * d[j];
+      ax += a[j] * x[j];
+    }
+    const double b = body.offsets()[i];
     if (std::fabs(ad) < 1e-14) {
       if (ax > b + 1e-9) return std::nullopt;
       continue;
@@ -76,11 +82,12 @@ std::optional<std::pair<double, double>> ReferenceChord(const ConvexBody& body,
       lo = std::max(lo, t);
     }
   }
-  for (const BallConstraint& ball : body.balls()) {
-    geom::Vec xc(body.dim());
-    for (int i = 0; i < body.dim(); ++i) xc[i] = x[i] - ball.center[i];
+  for (int k = 0; k < body.num_balls(); ++k) {
+    const double* c = body.ball_centers() + static_cast<size_t>(k) * n;
+    geom::Vec xc(n);
+    for (int i = 0; i < n; ++i) xc[i] = x[i] - c[i];
     double bq = geom::Dot(xc, d);
-    double cq = geom::Dot(xc, xc) - ball.radius * ball.radius;
+    double cq = geom::Dot(xc, xc) - body.ball_radius2()[k];
     double disc = bq * bq - cq;
     if (disc <= 0) return std::nullopt;
     double sq = std::sqrt(disc);
@@ -131,7 +138,7 @@ RandomBody MakeRandomBody(int dim, util::Rng& rng) {
     for (int j = 0; j < dim; ++j) c[j] = rng.Uniform(-0.4, 0.4);
     geom::Vec diff = geom::AddScaled(out.inside, -1.0, c);
     double radius = geom::Norm(diff) + rng.Uniform(0.3, 1.5);
-    out.body.AddBall(std::move(c), radius);
+    out.body.AddBall(c, radius);
   }
   return out;
 }

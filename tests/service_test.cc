@@ -1,11 +1,12 @@
 // Tests for the measurement serving layer (src/service/): batch results
-// bit-identical to sequential ComputeMeasure/ComputeNu for any thread count
-// and submission order, request-level memoization (a repeated batch samples
-// nothing), cross-request body sharing through the estimate cache, and the
-// async Submit/Wait surface.
+// bit-identical to sequential ComputeNu for any thread count and batch
+// order, request-level memoization (a repeated batch samples nothing),
+// cross-request body sharing through the estimate cache, and concurrent
+// callers serialized on one service.
 
 #include <algorithm>
 #include <random>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -16,8 +17,6 @@
 #include "src/measure/measure.h"
 #include "src/service/measure_service.h"
 #include "src/service/request_key.h"
-#include "src/translate/ground.h"
-#include "src/util/rng.h"
 
 namespace mudb::service {
 namespace {
@@ -124,7 +123,7 @@ TEST(ServiceTest, BatchBitIdenticalToSequentialAcrossThreadCounts) {
   }
 }
 
-TEST(ServiceTest, BatchBitIdenticalUnderShuffledSubmissionOrder) {
+TEST(ServiceTest, BatchBitIdenticalUnderShuffledBatchOrder) {
   std::vector<MeasureRequest> reqs = MixedBattery();
   std::vector<MeasureResult> baseline = SequentialBaseline(reqs);
   std::mt19937_64 gen(7);
@@ -134,18 +133,42 @@ TEST(ServiceTest, BatchBitIdenticalUnderShuffledSubmissionOrder) {
     std::shuffle(order.begin(), order.end(), gen);
 
     MeasureService service;
-    std::vector<MeasureService::Ticket> tickets(reqs.size());
-    std::vector<MeasureRequest> copy = MixedBattery();
-    for (size_t pos : order) {
-      tickets[pos] = service.Submit(std::move(copy[pos]));
-    }
-    for (size_t i = 0; i < tickets.size(); ++i) {
-      auto r = MeasureService::Wait(tickets[i]);
-      ASSERT_TRUE(r.ok());
-      EXPECT_EQ(r->value, baseline[i].value)
-          << "request " << i << ", round " << round;
+    std::vector<MeasureRequest> shuffled;
+    for (size_t pos : order) shuffled.push_back(reqs[pos]);
+    auto outcome = service.RunBatch(std::move(shuffled));
+    ASSERT_EQ(outcome.results.size(), order.size());
+    for (size_t b = 0; b < order.size(); ++b) {
+      ASSERT_TRUE(outcome.results[b].ok()) << outcome.results[b].status();
+      EXPECT_EQ(outcome.results[b]->value, baseline[order[b]].value)
+          << "request " << order[b] << ", round " << round;
     }
   }
+}
+
+TEST(ServiceTest, ConcurrentBatchesAreSerialized) {
+  // Two callers share one service and its 2-thread pool, which admits one
+  // ParallelFor submitter at a time: RunBatch must run their batches one
+  // after the other (CI runs this suite under TSan), and both outcomes
+  // must equal the sequential baseline.
+  std::vector<MeasureResult> baseline = SequentialBaseline(MixedBattery());
+  ServiceOptions sopts;
+  sopts.num_threads = 2;
+  MeasureService service(sopts);
+  MeasureService::BatchOutcome outcomes[2];
+  std::thread first([&] { outcomes[0] = service.RunBatch(MixedBattery()); });
+  std::thread second([&] { outcomes[1] = service.RunBatch(MixedBattery()); });
+  first.join();
+  second.join();
+  for (const MeasureService::BatchOutcome& outcome : outcomes) {
+    ASSERT_EQ(outcome.results.size(), baseline.size());
+    for (size_t i = 0; i < baseline.size(); ++i) {
+      ASSERT_TRUE(outcome.results[i].ok()) << outcome.results[i].status();
+      EXPECT_EQ(outcome.results[i]->value, baseline[i].value)
+          << "request " << i;
+    }
+  }
+  EXPECT_EQ(service.lifetime_stats().requests,
+            2 * static_cast<int64_t>(baseline.size()));
 }
 
 TEST(ServiceTest, SecondIdenticalBatchPerformsZeroSampling) {
@@ -297,89 +320,32 @@ TEST(ServiceTest, RequestSignatureSeparatesOptionsAndFormulas) {
   EXPECT_NE(k, RequestSignature(Halfspace3D(1, 1, 1), base));
 }
 
-TEST(ServiceTest, AsyncSubmitWaitOutOfOrder) {
-  MeasureService service;
-  std::vector<MeasureRequest> reqs = MixedBattery();
-  std::vector<MeasureResult> baseline = SequentialBaseline(reqs);
-  std::vector<MeasureService::Ticket> tickets;
-  for (MeasureRequest& req : reqs) {
-    tickets.push_back(service.Submit(std::move(req)));
-  }
-  // Wait in reverse: completion order must not matter to the results.
-  for (size_t i = tickets.size(); i-- > 0;) {
-    auto r = MeasureService::Wait(tickets[i]);
-    ASSERT_TRUE(r.ok());
-    EXPECT_EQ(r->value, baseline[i].value) << "request " << i;
-  }
-}
-
-TEST(ServiceTest, QueryPathMatchesComputeMeasure) {
-  // R(num) with one numeric null; q = ∃x R(x) ∧ x > 0  ⇒  μ = ν(z0 > 0).
-  model::Database db;
-  ASSERT_TRUE(
-      db.CreateRelation(model::RelationSchema("R", {{"x", model::Sort::kNum}}))
-          .ok());
-  model::Value top = db.MakeNumNull();
-  ASSERT_TRUE(db.Insert("R", {top}).ok());
-  logic::Formula f = logic::Formula::Exists(
-      logic::TypedVar{"x", model::Sort::kNum}, logic::Formula::And([] {
-        std::vector<logic::Formula> v;
-        v.push_back(logic::Formula::Rel("R", {logic::AtomArg::NumVar("x")}));
-        v.push_back(logic::Formula::Cmp(logic::Term::Var("x"),
-                                        logic::CmpOp::kGt,
-                                        logic::Term::Const(0)));
-        return v;
-      }()));
-  auto q = logic::Query::Make(std::move(f), db);
-  ASSERT_TRUE(q.ok());
-
-  MeasureOptions opts;  // kAuto: one variable ⇒ exact 2-D engine
-  auto direct = measure::ComputeMeasure(*q, db, {}, opts);
-  ASSERT_TRUE(direct.ok());
-
-  MeasureService service;
-  auto ticket = service.Submit(MeasureRequest::Mu(&*q, &db, {}, opts));
-  auto served = MeasureService::Wait(ticket);
-  ASSERT_TRUE(served.ok());
-  EXPECT_EQ(served->value, direct->value);
-  EXPECT_EQ(served->is_exact, direct->is_exact);
-  EXPECT_NEAR(served->value, 0.5, 1e-9);
-
-  // The per-request grounding cap bounds what one request may cost: an
-  // absurdly small budget fails with ResourceExhausted on both paths.
-  MeasureOptions capped = opts;
-  capped.max_ground_atoms = 0;
-  auto direct_capped = measure::ComputeMeasure(*q, db, {}, capped);
-  EXPECT_FALSE(direct_capped.ok());
-  EXPECT_EQ(direct_capped.status().code(),
-            util::StatusCode::kResourceExhausted);
-  auto capped_ticket = service.Submit(MeasureRequest::Mu(&*q, &db, {}, capped));
-  auto capped_served = MeasureService::Wait(capped_ticket);
-  EXPECT_FALSE(capped_served.ok());
-  EXPECT_EQ(capped_served.status().code(),
-            util::StatusCode::kResourceExhausted);
+// One request through a one-request batch.
+util::StatusOr<MeasureResult> RunOne(MeasureService& service,
+                                     MeasureRequest request) {
+  std::vector<MeasureRequest> batch;
+  batch.push_back(std::move(request));
+  return std::move(service.RunBatch(std::move(batch)).results[0]);
 }
 
 TEST(ServiceTest, MalformedAndFailingRequestsSurfaceTheirStatus) {
   MeasureService service;
-  // Neither form set.
-  auto empty_ticket = service.Submit(MeasureRequest{});
-  auto empty = MeasureService::Wait(empty_ticket);
+  // No formula.
+  auto empty = RunOne(service, MeasureRequest{});
   EXPECT_FALSE(empty.ok());
   EXPECT_EQ(empty.status().code(), util::StatusCode::kInvalidArgument);
 
   // Nonlinear formula forced onto the FPRAS: the engine error propagates.
-  auto bad_ticket = service.Submit(
-      MeasureRequest::Nu(Nonlinear3D(), Opts(Method::kFpras, 0.3, 1)));
-  auto bad = MeasureService::Wait(bad_ticket);
+  auto bad = RunOne(service, MeasureRequest::Nu(Nonlinear3D(),
+                                                Opts(Method::kFpras, 0.3, 1)));
   EXPECT_FALSE(bad.ok());
   EXPECT_EQ(bad.status().code(), util::StatusCode::kInvalidArgument);
 
   // Errors are not memoized: a failing request followed by an identical one
   // fails identically (and nothing cached a half-result).
-  auto again_ticket = service.Submit(
-      MeasureRequest::Nu(Nonlinear3D(), Opts(Method::kFpras, 0.3, 1)));
-  EXPECT_FALSE(MeasureService::Wait(again_ticket).ok());
+  EXPECT_FALSE(RunOne(service, MeasureRequest::Nu(Nonlinear3D(),
+                                                  Opts(Method::kFpras, 0.3, 1)))
+                   .ok());
   EXPECT_EQ(service.result_cache_stats().entries, 0);
 }
 
@@ -397,26 +363,12 @@ TEST(ServiceTest, DegenerateOptionsFailIdenticallyOnBothPaths) {
     EXPECT_EQ(direct.status().code(), util::StatusCode::kInvalidArgument);
 
     MeasureService service;
-    auto ticket = service.Submit(MeasureRequest::Nu(f, bad));
-    auto served = MeasureService::Wait(ticket);
+    auto served = RunOne(service, MeasureRequest::Nu(f, bad));
     EXPECT_FALSE(served.ok());
     EXPECT_EQ(served.status().code(), util::StatusCode::kInvalidArgument);
     EXPECT_EQ(served.status().message(), direct.status().message());
     EXPECT_EQ(service.result_cache_stats().entries, 0);
     EXPECT_EQ(service.lifetime_stats().sampling_steps, 0);
-  }
-}
-
-TEST(ServiceTest, ExternalPoolIsHonored) {
-  util::ThreadPool pool(2);
-  ServiceOptions sopts;
-  sopts.pool = &pool;
-  MeasureService service(sopts);
-  auto outcome = service.RunBatch(MixedBattery());
-  std::vector<MeasureResult> baseline = SequentialBaseline(MixedBattery());
-  for (size_t i = 0; i < baseline.size(); ++i) {
-    ASSERT_TRUE(outcome.results[i].ok());
-    EXPECT_EQ(outcome.results[i]->value, baseline[i].value);
   }
 }
 

@@ -299,7 +299,7 @@ TEST(IntroExampleTest, PaperConstraintOneMatchesPrintedValue) {
   // Constraint (1) exactly as printed in the paper:
   // (α' >= 0) && (α >= 8) && (0.7·α' >= α), with ν ≈ 0.097 and 0.388 of the
   // positive quadrant (the paper's comparison is flipped relative to the
-  // query; see EXPERIMENTS.md).
+  // query; see bench/e2e/EXPERIMENTS.md).
   using poly::Polynomial;
   Polynomial alpha = Polynomial::Variable(0);
   Polynomial alpha_prime = Polynomial::Variable(1);

@@ -24,9 +24,9 @@ Rules (see BUILDING.md "Static analysis" for the policy):
   no-raw-thread       std::thread storage or construction, std::jthread,
                       std::async, pthread_create, hardware_concurrency()
                       in src/ outside util::ThreadPool. Ad-hoc threads
-                      bypass the pool's substream/grid discipline; the
-                      documented service dispatcher site carries inline
-                      allow-pragmas with reasons.
+                      bypass the pool's substream/grid discipline; an
+                      audited exception carries an inline allow-pragma
+                      with its reason.
   no-threadcount-grid A thread-count value (num_threads, NumThreads(),
                       ResolveThreadCount(), hardware_concurrency()) linked
                       by arithmetic or assignment to a chunk/grid/lane-
