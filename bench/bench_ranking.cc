@@ -21,7 +21,7 @@
 // the tier rows, where it is that tier's request count.
 //
 // Flags: --json=<path>, --quick (one round instead of three),
-// --trace=<path>, --metrics=<path> (bench_obs.h).
+// --trace=<path> (bench_obs.h).
 
 #include <algorithm>
 #include <cmath>

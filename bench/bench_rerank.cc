@@ -26,7 +26,7 @@
 // (rerank steps / cold steps), and the *_warm rows (memo hits).
 //
 // Flags: --json=<path>, --quick (one round instead of three),
-// --trace=<path>, --metrics=<path> (bench_obs.h).
+// --trace=<path> (bench_obs.h).
 
 #include <algorithm>
 #include <cmath>

@@ -27,8 +27,8 @@
 // wall time (derived, not wall A/B, so host timing noise cannot flake it;
 // the wall ratio is still printed for reference).
 //
-// Flags: --json=<path>, --quick (one round, CI-sized), --trace=<path>,
-// --metrics=<path> (bench_obs.h).
+// Flags: --json=<path>, --quick (one round, CI-sized), --trace=<path>
+// (bench_obs.h).
 
 #include <cstdio>
 #include <cstdlib>

@@ -33,8 +33,6 @@ struct PlannedAtom {
   std::unordered_multimap<std::string, size_t> index;
   /// Comparisons fully bound once this atom is processed.
   std::vector<const CqComparison*> ready_comparisons;
-  /// Base equalities fully bound once this atom is processed.
-  std::vector<const CqBaseEquality*> ready_base_equalities;
 };
 
 class Evaluator {
@@ -201,8 +199,8 @@ class Evaluator {
       }
       plan_.push_back(std::move(planned));
 
-      // Schedule comparisons / base equalities at the earliest step where
-      // all their variables are bound.
+      // Schedule comparisons at the earliest step where all their
+      // variables are bound.
       auto all_bound = [&](const std::set<std::string>& vars) {
         for (const std::string& v : vars) {
           if (bound_vars.count(v) == 0) return false;
@@ -219,19 +217,8 @@ class Evaluator {
           scheduled_cmp_.insert(&cmp);
         }
       }
-      for (const CqBaseEquality& eq : rewritten_.base_equalities) {
-        if (scheduled_eq_.count(&eq)) continue;
-        std::set<std::string> vars;
-        if (eq.lhs.is_var()) vars.insert(eq.lhs.text());
-        if (eq.rhs.is_var()) vars.insert(eq.rhs.text());
-        if (all_bound(vars)) {
-          plan_.back().ready_base_equalities.push_back(&eq);
-          scheduled_eq_.insert(&eq);
-        }
-      }
     }
-    if (scheduled_cmp_.size() != rewritten_.comparisons.size() ||
-        scheduled_eq_.size() != rewritten_.base_equalities.size()) {
+    if (scheduled_cmp_.size() != rewritten_.comparisons.size()) {
       return util::Status::Internal("unschedulable comparison (unbound vars)");
     }
 
@@ -337,14 +324,6 @@ class Evaluator {
           }
         }
       }
-      if (ok) {
-        for (const CqBaseEquality* eq : p.ready_base_equalities) {
-          if (ResolveBase(eq->lhs) != ResolveBase(eq->rhs)) {
-            ok = false;
-            break;
-          }
-        }
-      }
       util::Status status = util::Status::OK();
       if (ok) status = Enumerate(depth + 1);
       // Undo bindings and constraints.
@@ -386,10 +365,6 @@ class Evaluator {
       key += kKeySep;
     }
     return key;
-  }
-
-  std::string ResolveBase(const logic::BaseArg& arg) const {
-    return arg.is_var() ? base_env_.at(arg.text()) : arg.text();
   }
 
   // Binds one tuple to an atom; returns false if the branch dies. Leaves the
@@ -490,7 +465,6 @@ class Evaluator {
 
   std::vector<PlannedAtom> plan_;
   std::set<const CqComparison*> scheduled_cmp_;
-  std::set<const CqBaseEquality*> scheduled_eq_;
 
   std::unordered_map<std::string, std::string> base_env_;
   std::unordered_map<std::string, Value> num_env_;

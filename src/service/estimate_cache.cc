@@ -5,22 +5,13 @@ namespace mudb::service {
 EstimateCache::EstimateCache() : EstimateCache(Options()) {}
 
 EstimateCache::EstimateCache(const Options& options)
-    : cache_(options.capacity, options.shards) {
-  // Every EstimateCache instance serves the same role (the per-body
-  // estimate store), so they all publish into one stable metric family;
-  // counts aggregate across instances, matching the process-wide registry
-  // model. The struct counters (stats(), steps_saved()) stay per-instance.
-  cache_.PublishMetrics("service.body_cache");
-  metric_steps_saved_ =
-      obs::MetricsRegistry::Global().counter("service.body_cache.steps_saved");
-}
+    : cache_(options.capacity, options.shards) {}
 
 std::optional<volume::CachedBodyEstimate> EstimateCache::Lookup(
     const convex::CanonicalBodyKey& key) {
   std::optional<volume::CachedBodyEstimate> hit = cache_.Lookup(key);
   if (hit.has_value()) {
     steps_saved_.fetch_add(hit->steps, std::memory_order_relaxed);
-    metric_steps_saved_->Inc(hit->steps);
   }
   return hit;
 }
@@ -34,7 +25,6 @@ void EstimateCache::Clear() {
   // Reset the derived counter with the underlying cache: after a Clear,
   // steps_saved() must not report savings from an epoch whose hit/miss
   // counters are gone (hit-rate and steps-saved reporting would disagree).
-  // The registry mirrors are cumulative by design and are not reset.
   cache_.Clear();
   steps_saved_.store(0, std::memory_order_relaxed);
 }

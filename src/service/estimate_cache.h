@@ -27,13 +27,11 @@
 #include <list>
 #include <mutex>
 #include <optional>
-#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "src/convex/canonical.h"
-#include "src/obs/metrics.h"
 #include "src/util/status.h"
 #include "src/volume/union_volume.h"
 
@@ -72,31 +70,17 @@ class ShardedLruCache {
     per_shard_capacity_ = per_shard > 0 ? per_shard : 1;
   }
 
-  /// Also publishes this cache's hit/miss/insertion/eviction counts into
-  /// the global MetricsRegistry under `<prefix>.hit`, `<prefix>.miss`,
-  /// `<prefix>.insertion`, `<prefix>.eviction` (satellite of the struct
-  /// counters, which stay authoritative). Call once, before traffic.
-  void PublishMetrics(const std::string& prefix) {
-    obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
-    metric_hits_ = reg.counter(prefix + ".hit");
-    metric_misses_ = reg.counter(prefix + ".miss");
-    metric_insertions_ = reg.counter(prefix + ".insertion");
-    metric_evictions_ = reg.counter(prefix + ".eviction");
-  }
-
   std::optional<Value> Lookup(const convex::CanonicalBodyKey& key) {
     Shard& shard = ShardFor(key);
     std::lock_guard<std::mutex> lock(shard.mu);
     auto it = shard.index.find(key);
     if (it == shard.index.end()) {
       misses_.fetch_add(1, std::memory_order_relaxed);
-      if (metric_misses_ != nullptr) metric_misses_->Inc();
       return std::nullopt;
     }
     // Move to the front of the recency list.
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     hits_.fetch_add(1, std::memory_order_relaxed);
-    if (metric_hits_ != nullptr) metric_hits_->Inc();
     return it->second->second;
   }
 
@@ -113,13 +97,11 @@ class ShardedLruCache {
       shard.index.erase(shard.lru.back().first);
       shard.lru.pop_back();
       evictions_.fetch_add(1, std::memory_order_relaxed);
-      if (metric_evictions_ != nullptr) metric_evictions_->Inc();
       entries_.fetch_sub(1, std::memory_order_relaxed);
     }
     shard.lru.emplace_front(key, std::move(value));
     shard.index.emplace(key, shard.lru.begin());
     insertions_.fetch_add(1, std::memory_order_relaxed);
-    if (metric_insertions_ != nullptr) metric_insertions_->Inc();
     entries_.fetch_add(1, std::memory_order_relaxed);
   }
 
@@ -191,12 +173,6 @@ class ShardedLruCache {
   std::atomic<int64_t> insertions_{0};
   std::atomic<int64_t> evictions_{0};
   std::atomic<int64_t> entries_{0};
-  // Registry mirrors (null until PublishMetrics; registry-owned, never
-  // dangle). The struct counters above stay the source of truth.
-  obs::Counter* metric_hits_ = nullptr;
-  obs::Counter* metric_misses_ = nullptr;
-  obs::Counter* metric_insertions_ = nullptr;
-  obs::Counter* metric_evictions_ = nullptr;
 };
 
 /// The per-body estimate cache the FPRAS pipeline plugs into
@@ -233,7 +209,6 @@ class EstimateCache : public volume::BodyEstimateCache {
  private:
   ShardedLruCache<volume::CachedBodyEstimate> cache_;
   std::atomic<int64_t> steps_saved_{0};
-  obs::Counter* metric_steps_saved_ = nullptr;  // registry-owned
 };
 
 }  // namespace mudb::service

@@ -1,6 +1,5 @@
 #include "src/service/measure_service.h"
 
-#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/service/request_key.h"
 #include "src/service/service_errors.h"
@@ -21,27 +20,12 @@ constexpr int kCacheShards = 8;
 MeasureService::MeasureService(const ServiceOptions& options)
     : pool_(util::ThreadPool::ResolveThreadCount(options.num_threads)),
       body_cache_(EstimateCache::Options{kBodyCacheCapacity, kCacheShards}),
-      result_cache_(kResultCacheCapacity, kCacheShards) {
-  // Mirror the result-memo counters into the registry ("service.cache.*";
-  // the body cache publishes "service.body_cache.*" from its own ctor).
-  result_cache_.PublishMetrics("service.cache");
-}
+      result_cache_(kResultCacheCapacity, kCacheShards) {}
 
 util::StatusOr<measure::MeasureResult> MeasureService::Process(
     const MeasureRequest& request, BatchStats* stats) {
-  static obs::Counter* const m_requests =
-      obs::MetricsRegistry::Global().counter("service.requests");
-  static obs::Counter* const m_steps =
-      obs::MetricsRegistry::Global().counter("service.sampling_steps");
-  static obs::Counter* const m_samples =
-      obs::MetricsRegistry::Global().counter("service.samples");
-  static obs::Histogram* const m_request_ms =
-      obs::MetricsRegistry::Global().histogram("service.request_ms");
-
   obs::Span span("service.process");
-  const int64_t t0 = obs::Clock::NowNanos();
   ++stats->requests;
-  m_requests->Inc();
 
   // Validate the error-model knobs before memo lookups: a degenerate ε/δ
   // must fail byte-identically on the service and direct paths.
@@ -56,7 +40,6 @@ util::StatusOr<measure::MeasureResult> MeasureService::Process(
   // so a hit is bit-identical to re-execution.
   convex::CanonicalBodyKey signature =
       RequestSignature(formula, request.options);
-  // The memo Lookup itself publishes service.cache.hit / .miss.
   if (std::optional<measure::MeasureResult> memo =
           result_cache_.Lookup(signature)) {
     ++stats->request_cache_hits;
@@ -64,8 +47,6 @@ util::StatusOr<measure::MeasureResult> MeasureService::Process(
       span.Annotate("cache", "hit");
       span.Annotate("key_prefix", SignaturePrefix(signature));
     }
-    m_request_ms->Observe(
-        obs::Clock::NanosToMillis(obs::Clock::NowNanos() - t0));
     return *memo;
   }
   if (span.recording()) {
@@ -90,18 +71,12 @@ util::StatusOr<measure::MeasureResult> MeasureService::Process(
   stats->unique_bodies += result->unique_bodies;
   stats->sampling_steps += result->sampling_steps;
   stats->samples += result->samples;
-  m_steps->Inc(result->sampling_steps);
-  m_samples->Inc(result->samples);
   result_cache_.Insert(signature, *result);
-  m_request_ms->Observe(
-      obs::Clock::NanosToMillis(obs::Clock::NowNanos() - t0));
   return result;
 }
 
 MeasureService::BatchOutcome MeasureService::RunBatch(
     std::vector<MeasureRequest> requests) {
-  static obs::Histogram* const m_batch_ms =
-      obs::MetricsRegistry::Global().histogram("service.batch_ms");
   // One batch at a time: its estimators share pool_, which admits one
   // ParallelFor submitter at a time (util/thread_pool.h).
   std::lock_guard<std::mutex> lock(mu_);
@@ -123,7 +98,6 @@ MeasureService::BatchOutcome MeasureService::RunBatch(
     span.Annotate("sampling_steps",
                   static_cast<double>(outcome.stats.sampling_steps));
   }
-  m_batch_ms->Observe(outcome.stats.wall_ms);
 
   const BatchStats& s = outcome.stats;
   lifetime_.requests += s.requests;

@@ -8,7 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/service/request_key.h"
 #include "src/service/service_errors.h"
@@ -329,12 +328,6 @@ util::Status RankingSession::RunLadder(RerankOutcome* outcome) {
     if (needed.empty()) break;  // every surviving candidate is finished
     outcome->evaluations += static_cast<int64_t>(needed.size());
 
-    static obs::Counter* const m_tiers =
-        obs::MetricsRegistry::Global().counter("ranking.tiers");
-    static obs::Counter* const m_evaluations =
-        obs::MetricsRegistry::Global().counter("ranking.evaluations");
-    m_tiers->Inc();
-    m_evaluations->Inc(static_cast<int64_t>(needed.size()));
     // One span per executed ε-tier: the batch it submitted parents under
     // it, so a trace reads as rerank → tier → process → estimator phases.
     obs::Span tier_span("ranking.tier");
@@ -396,9 +389,6 @@ util::Status RankingSession::RunLadder(RerankOutcome* outcome) {
         }
       }
     }
-    static obs::Counter* const m_pruned =
-        obs::MetricsRegistry::Global().counter("ranking.pruned");
-    m_pruned->Inc(pruned_this_tier);
     if (tier_span.recording()) {
       int64_t survivors = 0;
       for (size_t i = 0; i < n; ++i) survivors += active[i] ? 1 : 0;
@@ -439,12 +429,7 @@ util::Status RankingSession::RunLadder(RerankOutcome* outcome) {
 }
 
 util::StatusOr<RerankOutcome> RankingSession::Rerank(RankingDelta delta) {
-  static obs::Counter* const m_reranks =
-      obs::MetricsRegistry::Global().counter("ranking.reranks");
-  static obs::Counter* const m_warm_hits =
-      obs::MetricsRegistry::Global().counter("ranking.warm_hits");
   obs::Span span("ranking.rerank");
-  m_reranks->Inc();
   MUDB_RETURN_IF_ERROR(ValidateRankingOptions(options_));
   RerankOutcome outcome;
   MUDB_RETURN_IF_ERROR(ApplyDelta(std::move(delta), &outcome));
@@ -453,7 +438,6 @@ util::StatusOr<RerankOutcome> RankingSession::Rerank(RankingDelta delta) {
     candidates_[i].last = outcome.candidates[i];
     candidates_[i].ranked = true;
   }
-  m_warm_hits->Inc(outcome.warm_hits);
   outcome.trace_id = span.context().trace_id;
   if (span.recording()) {
     span.Annotate("candidates", static_cast<double>(candidates_.size()));

@@ -1,6 +1,7 @@
 #include "src/sql/parser.h"
 
 #include <cctype>
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <vector>
@@ -182,11 +183,7 @@ class Parser {
       } while (AcceptKeyword("and"));
     }
     if (AcceptKeyword("limit")) {
-      if (Peek().kind != TokKind::kNumber) {
-        return Error("expected a number after LIMIT");
-      }
-      cq_.limit = static_cast<size_t>(Peek().number);
-      Advance();
+      MUDB_ASSIGN_OR_RETURN(cq_.limit, ParseLimit());
     }
     if (Peek().kind != TokKind::kEnd) {
       return Error("unexpected trailing input: " + Peek().raw);
@@ -243,6 +240,32 @@ class Parser {
     }
     return util::Status::OK();
   }
+
+  // A LIMIT count: a plain digit string of at most 2^53, the largest range
+  // in which the lexer's double holds every integer exactly. Read from the
+  // spelling, so "2.5", "1e3" or "-1" fail instead of reaching a
+  // float-to-integer cast (undefined for 1e300).
+  util::StatusOr<size_t> ParseLimit() {
+    constexpr uint64_t kMaxLimit = uint64_t{1} << 53;
+    const Token& tok = Peek();
+    bool valid = tok.kind == TokKind::kNumber;
+    uint64_t value = 0;
+    for (char c : tok.raw) {
+      if (!valid || !std::isdigit(static_cast<unsigned char>(c))) {
+        valid = false;
+        break;
+      }
+      value = value * 10 + static_cast<uint64_t>(c - '0');
+      valid = value <= kMaxLimit;
+    }
+    if (!valid) {
+      return Error("LIMIT needs a non-negative integer, got '" + tok.raw +
+                   "'");
+    }
+    Advance();
+    return static_cast<size_t>(value);
+  }
+
   util::Status Error(const std::string& msg) const {
     return util::Status::InvalidArgument(
         msg + " (offset " + std::to_string(Peek().pos) + ")");

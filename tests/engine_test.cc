@@ -2,6 +2,9 @@
 // collection, LIMIT, and agreement with the general grounding pipeline.
 
 #include <cmath>
+#include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -263,6 +266,55 @@ TEST(EvalTest, IdenticalNullJoinsWithItself) {
   ASSERT_EQ(result->candidates.size(), 1u);
   EXPECT_TRUE(result->candidates[0].certain);
   EXPECT_EQ(result->candidates[0].output[0], top);
+}
+
+TEST(EvalTest, BaseEqualitiesAreAbsorbedBeforePlanning) {
+  // Each atom has its own column variables, as the SQL front-end emits
+  // them, so every join and filter arrives as a CqBaseEquality.
+  Database db = TinySalesDb();
+  Value seg_null = db.MakeBaseNull();
+  ASSERT_TRUE(db.Insert("P", {Value::BaseConst("p1"), Value::BaseConst("s1"),
+                              Value::NumConst(10)})
+                  .ok());
+  ASSERT_TRUE(db.Insert("P", {Value::BaseConst("p2"), Value::BaseConst("s2"),
+                              Value::NumConst(10)})
+                  .ok());
+  ASSERT_TRUE(
+      db.Insert("P", {Value::BaseConst("p3"), seg_null, Value::NumConst(10)})
+          .ok());
+  ASSERT_TRUE(
+      db.Insert("M", {Value::BaseConst("s1"), Value::NumConst(20)}).ok());
+  ASSERT_TRUE(db.Insert("M", {seg_null, Value::NumConst(30)}).ok());
+
+  auto ids = [&](std::vector<CqBaseEquality> equalities) {
+    ConjunctiveQuery cq;
+    cq.atoms.push_back(CqAtom{"P", {AtomArg::BaseVar("pid"),
+                                    AtomArg::BaseVar("ps"),
+                                    AtomArg::NumVar("prrp")}});
+    cq.atoms.push_back(
+        CqAtom{"M", {AtomArg::BaseVar("ms"), AtomArg::NumVar("mprice")}});
+    cq.base_equalities = std::move(equalities);
+    cq.output.push_back(TypedVar{"pid", Sort::kBase});
+    auto result = EvaluateCq(db, cq);
+    EXPECT_TRUE(result.ok()) << result.status();
+    std::set<std::string> out;
+    if (!result.ok()) return out;
+    for (const Candidate& c : result->candidates) {
+      EXPECT_TRUE(c.certain);
+      out.insert(c.output[0].base_const());
+    }
+    return out;
+  };
+  const logic::BaseArg ps = logic::BaseArg::Var("ps");
+  const logic::BaseArg ms = logic::BaseArg::Var("ms");
+  const logic::BaseArg s1 = logic::BaseArg::Const("s1");
+  const logic::BaseArg s2 = logic::BaseArg::Const("s2");
+
+  // p2's segment has no market row; p3's null joins only with itself.
+  EXPECT_EQ(ids({{ps, ms}}), (std::set<std::string>{"p1", "p3"}));
+  EXPECT_EQ(ids({{ps, s1}}), (std::set<std::string>{"p1"}));
+  EXPECT_TRUE(ids({{ps, s1}, {ps, s2}}).empty());
+  EXPECT_TRUE(ids({{s1, s2}}).empty());
 }
 
 // ---- Unions of conjunctive queries ----------------------------------------

@@ -1,16 +1,11 @@
-// Tests for src/obs: histogram bucket determinism, quantiles against exact
-// references, snapshot-vs-concurrent-writers exactness (this suite runs
-// under TSan in CI), span parentage within a thread, across the ThreadPool
-// seam and from a service batch to its requests, the observability
-// determinism contract (tracing on/off leaves every result bit-identical),
-// and fake-clock-driven durations.
+// Tests for src/obs: span parentage within a thread, across the ThreadPool
+// seam (this suite runs under TSan in CI) and from a service batch to its
+// requests, the observability determinism contract (tracing on/off leaves
+// every result bit-identical), and fake-clock-driven durations.
 
-#include <atomic>
-#include <cmath>
 #include <cstdint>
 #include <map>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,7 +13,6 @@
 #include "src/constraints/real_formula.h"
 #include "src/measure/measure.h"
 #include "src/obs/clock.h"
-#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/poly/polynomial.h"
 #include "src/service/measure_service.h"
@@ -63,167 +57,6 @@ struct ScopedTracing {
     ClearTraces();
   }
 };
-
-// ---- Histogram bucketing ----------------------------------------------------
-
-TEST(HistogramBucketTest, IndexIsExactHalfExponent) {
-  // v = 1: v^2 = 1, ilogb = 0 -> half-exponent 0.
-  EXPECT_EQ(HistogramBucketIndex(1.0), -kHistogramMinHalfExp + 1);
-  // v = 2: v^2 = 4, ilogb = 2 -> half-exponent 2.
-  EXPECT_EQ(HistogramBucketIndex(2.0), 2 - kHistogramMinHalfExp + 1);
-  // Just below sqrt(2): still half-exponent 0.
-  EXPECT_EQ(HistogramBucketIndex(1.414), -kHistogramMinHalfExp + 1);
-  // Just above sqrt(2): half-exponent 1.
-  EXPECT_EQ(HistogramBucketIndex(1.415), 1 - kHistogramMinHalfExp + 1);
-}
-
-TEST(HistogramBucketTest, DegenerateValuesLandInUnderflowBucket) {
-  EXPECT_EQ(HistogramBucketIndex(0.0), 0);
-  EXPECT_EQ(HistogramBucketIndex(-3.5), 0);
-  EXPECT_EQ(HistogramBucketIndex(std::nan("")), 0);
-  // Below the finite range.
-  EXPECT_EQ(HistogramBucketIndex(1e-12), 0);
-}
-
-TEST(HistogramBucketTest, HugeValuesClampIntoTopBucket) {
-  EXPECT_EQ(HistogramBucketIndex(1e30), kHistogramBuckets - 1);
-  // v*v overflows to +inf; still the top bucket, no UB.
-  EXPECT_EQ(HistogramBucketIndex(1e300), kHistogramBuckets - 1);
-}
-
-TEST(HistogramBucketTest, BucketBoundsBracketTheirValues) {
-  for (double v : {1e-8, 0.003, 0.5, 1.0, 7.3, 1000.0, 3.7e9}) {
-    int idx = HistogramBucketIndex(v);
-    ASSERT_GT(idx, 0) << v;
-    EXPECT_LT(v, HistogramBucketUpperBound(idx)) << v;
-    // The bound below grows by sqrt(2) per bucket, so the lower edge is the
-    // previous bucket's upper bound.
-    EXPECT_GE(v, HistogramBucketUpperBound(idx - 1) * (1.0 - 1e-12)) << v;
-  }
-}
-
-TEST(HistogramBucketTest, BucketingIsDeterministicAcrossRuns) {
-  // The multiset of observations decides the bucket array, byte for byte.
-  MetricsRegistry reg_a, reg_b;
-  Histogram* a = reg_a.histogram("h");
-  Histogram* b = reg_b.histogram("h");
-  for (int i = 1; i <= 5000; ++i) {
-    double v = 0.001 * i * i;
-    a->Observe(v);
-    b->Observe(v);
-  }
-  MetricsSnapshot sa = reg_a.Snapshot();
-  MetricsSnapshot sb = reg_b.Snapshot();
-  ASSERT_EQ(sa.histograms.size(), 1u);
-  EXPECT_EQ(sa.histograms[0].buckets, sb.histograms[0].buckets);
-  EXPECT_EQ(sa.ToJson(), sb.ToJson());
-}
-
-// ---- Quantiles --------------------------------------------------------------
-
-TEST(HistogramQuantileTest, QuantileIsWithinSqrt2OfExact) {
-  MetricsRegistry registry;
-  Histogram* h = registry.histogram("latency");
-  // 1..10000: exact p-quantile (nearest-rank) is ceil(p * 10000).
-  for (int i = 1; i <= 10000; ++i) h->Observe(static_cast<double>(i));
-  MetricsSnapshot snap = registry.Snapshot();
-  ASSERT_EQ(snap.histograms.size(), 1u);
-  const HistogramSnapshot& hs = snap.histograms[0];
-  EXPECT_EQ(hs.count, 10000);
-  for (double p : {0.5, 0.9, 0.99, 0.999}) {
-    double exact = std::ceil(p * 10000);
-    double q = hs.Quantile(p);
-    // The reported quantile is the upper bound of the bucket holding the
-    // rank value: an over-estimate by at most the bucket ratio sqrt(2).
-    EXPECT_GE(q, exact) << p;
-    EXPECT_LE(q, exact * std::sqrt(2.0) * (1.0 + 1e-12)) << p;
-  }
-}
-
-TEST(HistogramQuantileTest, EmptyHistogramQuantileIsZero) {
-  HistogramSnapshot hs;
-  EXPECT_EQ(hs.Quantile(0.5), 0.0);
-}
-
-// ---- Registry semantics -----------------------------------------------------
-
-TEST(MetricsRegistryTest, SnapshotsAreCumulativeAndDrainExactlyOnce) {
-  MetricsRegistry registry;
-  Counter* c = registry.counter("c");
-  c->Inc(5);
-  EXPECT_EQ(registry.Snapshot().counters[0].value, 5);
-  c->Inc(3);
-  EXPECT_EQ(registry.Snapshot().counters[0].value, 8);
-  // No writes since: cumulative view unchanged.
-  EXPECT_EQ(registry.Snapshot().counters[0].value, 8);
-  EXPECT_EQ(c->Value(), 8);
-}
-
-TEST(MetricsRegistryTest, HandlesAreStableAndKindChecked) {
-  MetricsRegistry registry;
-  Counter* c = registry.counter("x");
-  EXPECT_EQ(registry.counter("x"), c);
-  // One name, two kinds: the first kind wins, the mismatch is null.
-  EXPECT_EQ(registry.gauge("x"), nullptr);
-  EXPECT_EQ(registry.histogram("x"), nullptr);
-  EXPECT_NE(registry.gauge("y"), nullptr);
-}
-
-TEST(MetricsRegistryTest, JsonSnapshotIsStableAndSorted) {
-  MetricsRegistry registry;
-  registry.counter("z.last")->Inc(2);
-  registry.counter("a.first")->Inc(1);
-  registry.gauge("m.gauge")->Set(0.5);
-  registry.histogram("m.hist")->Observe(3.0);
-  std::string json = registry.ToJson();
-  EXPECT_NE(json.find("\"schema_version\""), std::string::npos);
-  // Name-sorted: a.first precedes z.last.
-  EXPECT_LT(json.find("a.first"), json.find("z.last"));
-  // Quiescent: a second snapshot emits the identical document.
-  EXPECT_EQ(registry.ToJson(), json);
-}
-
-TEST(MetricsRegistryTest, ConcurrentWritersLoseNothing) {
-  MetricsRegistry registry;
-  Counter* c = registry.counter("hits");
-  Histogram* h = registry.histogram("obs");
-  constexpr int kThreads = 8;
-  constexpr int kPerThread = 20000;
-  std::atomic<bool> stop{false};
-  // A snapshot thread races the writers: draining must never double-count
-  // or drop an increment.
-  std::thread snapshotter([&] {
-    while (!stop.load(std::memory_order_relaxed)) {
-      registry.Snapshot();
-    }
-  });
-  std::vector<std::thread> writers;
-  writers.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    writers.emplace_back([&, t] {
-      for (int i = 0; i < kPerThread; ++i) {
-        c->Inc();
-        h->Observe(static_cast<double>(t + 1));
-      }
-    });
-  }
-  for (std::thread& w : writers) w.join();
-  stop.store(true, std::memory_order_relaxed);
-  snapshotter.join();
-  MetricsSnapshot snap = registry.Snapshot();
-  EXPECT_EQ(snap.counters[0].value, int64_t{kThreads} * kPerThread);
-  EXPECT_EQ(snap.histograms[0].count, int64_t{kThreads} * kPerThread);
-}
-
-TEST(MetricsRegistryTest, ResetStartsAFreshEpochKeepingHandles) {
-  MetricsRegistry registry;
-  Counter* c = registry.counter("c");
-  c->Inc(7);
-  registry.Reset();
-  EXPECT_EQ(c->Value(), 0);
-  c->Inc(2);  // the old handle still works
-  EXPECT_EQ(registry.Snapshot().counters[0].value, 2);
-}
 
 // ---- Span parentage ---------------------------------------------------------
 

@@ -212,6 +212,22 @@ TEST(SqlParserTest, ErrorsCarryContext) {
                    .ok());  // unterminated string
 }
 
+TEST(SqlParserTest, LimitMustBeANonNegativeInteger) {
+  Database db = SalesSchemaDb();
+  auto zero = ParseSqlQuery("SELECT P.id FROM Products P LIMIT 0", db);
+  ASSERT_TRUE(zero.ok()) << zero.status();
+  ASSERT_TRUE(zero->limit.has_value());
+  EXPECT_EQ(*zero->limit, 0u);
+  // A fraction, an exponent, an out-of-range count and a sign all fail;
+  // none may be truncated into a row count.
+  for (const char* bad : {"2.5", "0.5", "1e3", "1e300", "-1"}) {
+    auto cq = ParseSqlQuery(
+        std::string("SELECT P.id FROM Products P LIMIT ") + bad, db);
+    ASSERT_FALSE(cq.ok()) << bad;
+    EXPECT_EQ(cq.status().code(), util::StatusCode::kInvalidArgument) << bad;
+  }
+}
+
 TEST(SqlParserTest, DuplicateAliasRejected) {
   Database db = SalesSchemaDb();
   EXPECT_FALSE(
