@@ -69,7 +69,7 @@ double WedgeAngle(int d) {
 service::RankingOptions Ranking() {
   service::RankingOptions opts;
   opts.k = kTopK;
-  return opts;  // default ladder 0.2 → 0.1 → 0.05 → ε, default δ budget
+  return opts;  // default schedule from coarse ε 0.2, default δ budget
 }
 
 std::vector<service::MeasureRequest> MakeCandidates(double delta) {

@@ -1,8 +1,11 @@
 #include "src/io/csv.h"
 
+#include <charconv>
+#include <cmath>
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <system_error>
 #include <vector>
 
 namespace mudb::io {
@@ -15,33 +18,41 @@ using model::Sort;
 using model::Tuple;
 using model::Value;
 
+// One field of a record. A field with any double-quoted part is a
+// constant whatever its text: the null token and tags apply only unquoted.
+struct Field {
+  std::string text;
+  bool quoted = false;
+};
+
 // Splits one CSV record into fields, honouring double-quoted fields with
 // doubled-quote escapes.
-util::StatusOr<std::vector<std::string>> SplitRecord(const std::string& line,
-                                                     char delimiter) {
-  std::vector<std::string> fields;
-  std::string current;
+util::StatusOr<std::vector<Field>> SplitRecord(const std::string& line,
+                                               char delimiter) {
+  std::vector<Field> fields;
+  Field current;
   bool in_quotes = false;
   for (size_t i = 0; i < line.size(); ++i) {
     char c = line[i];
     if (in_quotes) {
       if (c == '"') {
         if (i + 1 < line.size() && line[i + 1] == '"') {
-          current += '"';
+          current.text += '"';
           ++i;
         } else {
           in_quotes = false;
         }
       } else {
-        current += c;
+        current.text += c;
       }
     } else if (c == '"') {
       in_quotes = true;
+      current.quoted = true;
     } else if (c == delimiter) {
       fields.push_back(std::move(current));
-      current.clear();
+      current = Field{};
     } else if (c != '\r') {
-      current += c;
+      current.text += c;
     }
   }
   if (in_quotes) {
@@ -49,6 +60,25 @@ util::StatusOr<std::vector<std::string>> SplitRecord(const std::string& line,
   }
   fields.push_back(std::move(current));
   return fields;
+}
+
+// Parses a numeric cell: an optional sign, digits with at most one '.', and
+// an optional exponent, nothing else, whose value is a finite double.
+// from_chars skips no blanks, reads no hex prefix and ignores the locale;
+// the "nan" and "inf" it takes fail the finiteness check, and a value that
+// overflows or underflows to zero fails as out of range.
+bool ParseFiniteDecimal(const std::string& cell, double* out) {
+  const char* begin = cell.data();
+  const char* end = begin + cell.size();
+  // from_chars takes a leading '-' but no '+'.
+  if (cell.size() > 1 && cell[0] == '+' && cell[1] != '+' && cell[1] != '-') {
+    ++begin;
+  }
+  double value = 0.0;
+  const auto [ptr, ec] = std::from_chars(begin, end, value);
+  if (ec != std::errc{} || ptr != end || !std::isfinite(value)) return false;
+  *out = value;
+  return true;
 }
 
 // One physical CSV record (possibly spanning several input lines) and the
@@ -133,7 +163,7 @@ util::StatusOr<size_t> LoadCsvRelation(Database* db,
   for (RawRecord& record : SplitIntoRecords(csv)) {
     const size_t line_no = record.line_no;
     if (record.text.empty() || record.text == "\r") continue;
-    MUDB_ASSIGN_OR_RETURN(std::vector<std::string> fields,
+    MUDB_ASSIGN_OR_RETURN(std::vector<Field> fields,
                           SplitRecord(record.text, options.delimiter));
     if (header_pending) {
       header_pending = false;
@@ -143,10 +173,11 @@ util::StatusOr<size_t> LoadCsvRelation(Database* db,
             " columns, schema expects " + std::to_string(schema.arity()));
       }
       for (size_t i = 0; i < fields.size(); ++i) {
-        if (fields[i] != schema.column(i).name) {
+        if (fields[i].text != schema.column(i).name) {
           return util::Status::InvalidArgument(
-              "header column " + std::to_string(i) + " is '" + fields[i] +
-              "', schema expects '" + schema.column(i).name + "'");
+              "header column " + std::to_string(i) + " is '" +
+              fields[i].text + "', schema expects '" +
+              schema.column(i).name + "'");
         }
       }
       continue;
@@ -160,28 +191,23 @@ util::StatusOr<size_t> LoadCsvRelation(Database* db,
     Tuple tuple;
     tuple.reserve(fields.size());
     for (size_t i = 0; i < fields.size(); ++i) {
-      const std::string& cell = fields[i];
+      const std::string& cell = fields[i].text;
+      const bool quoted = fields[i].quoted;
       Sort sort = schema.column(i).sort;
-      if (cell == options.null_token) {
+      double number = 0.0;
+      if (!quoted && cell == options.null_token) {
         tuple.push_back(nulls.Fresh(sort));
-      } else if (cell.rfind(tagged_prefix, 0) == 0) {
+      } else if (!quoted && cell.rfind(tagged_prefix, 0) == 0) {
         MUDB_ASSIGN_OR_RETURN(Value v, nulls.Resolve(cell, sort));
         tuple.push_back(v);
       } else if (sort == Sort::kBase) {
         tuple.push_back(Value::BaseConst(cell));
+      } else if (ParseFiniteDecimal(cell, &number)) {
+        tuple.push_back(Value::NumConst(number));
       } else {
-        try {
-          size_t consumed = 0;
-          double d = std::stod(cell, &consumed);
-          if (consumed != cell.size()) {
-            throw std::invalid_argument(cell);
-          }
-          tuple.push_back(Value::NumConst(d));
-        } catch (...) {
-          return util::Status::InvalidArgument(
-              "line " + std::to_string(line_no) + ": '" + cell +
-              "' is not numeric (column " + schema.column(i).name + ")");
-        }
+        return util::Status::InvalidArgument(
+            "line " + std::to_string(line_no) + ": '" + cell +
+            "' is not numeric (column " + schema.column(i).name + ")");
       }
     }
     MUDB_RETURN_IF_ERROR(rel->Insert(std::move(tuple)));
@@ -206,12 +232,29 @@ util::StatusOr<size_t> LoadCsvRelationFromFile(Database* db,
 util::Status WriteCsvRelation(const model::Relation& relation,
                               std::ostream& out, const CsvOptions& options) {
   const RelationSchema& schema = relation.schema();
+  // The loader refuses non-finite numbers. Check them all before writing,
+  // so a failed write leaves `out` untouched.
+  for (const Tuple& t : relation.tuples()) {
+    for (size_t i = 0; i < t.size(); ++i) {
+      if (t[i].kind() == Value::Kind::kNumConst &&
+          !std::isfinite(t[i].num_const())) {
+        return util::Status::InvalidArgument(
+            "numeric constant " + std::to_string(t[i].num_const()) +
+            " is not finite (column " + schema.column(i).name + ")");
+      }
+    }
+  }
+  const std::string tagged_prefix = options.null_token + ":";
   auto write_cell = [&](const std::string& text) {
-    // '\r' is quoted too: the reader strips unquoted carriage returns.
+    // '\r' is quoted too: the reader strips unquoted carriage returns. So
+    // is every text the reader would take for a null, and the empty text,
+    // which as a one-column row would be an empty line the reader skips.
     bool needs_quotes = text.find(options.delimiter) != std::string::npos ||
                         text.find('"') != std::string::npos ||
                         text.find('\n') != std::string::npos ||
-                        text.find('\r') != std::string::npos;
+                        text.find('\r') != std::string::npos ||
+                        text.empty() || text == options.null_token ||
+                        text.rfind(tagged_prefix, 0) == 0;
     if (!needs_quotes) {
       out << text;
       return;

@@ -4,9 +4,14 @@
 // source data become fresh *marked* nulls (⊥_i for base columns, ⊤_i for
 // numeric ones), so a CSV with the token "NULL" round-trips into the marked
 // null model. Supports quoted fields — embedded delimiters, doubled-quote
-// escapes, and embedded newlines (a quoted field may span input lines) —
-// and WriteCsvRelation emits exactly that dialect, so write → load is an
-// identity on relations (io_test.cc round-trip battery).
+// escapes, and embedded newlines (a quoted field may span input lines). A
+// quoted cell is always a constant: the null token and "NULL:<tag>" marks
+// are recognised only unquoted. A numeric cell must be a decimal (optional
+// sign, digits with at most one '.', optional exponent) whose value is a
+// finite double; one that overflows, or underflows to zero, is refused.
+// WriteCsvRelation emits exactly that dialect, quoting every base constant
+// that would otherwise read back as a null or an empty line, so write →
+// load is an identity on relations (io_test.cc round-trip battery).
 
 #ifndef MUDB_SRC_IO_CSV_H_
 #define MUDB_SRC_IO_CSV_H_
@@ -42,7 +47,9 @@ util::StatusOr<size_t> LoadCsvRelationFromFile(
 
 /// Writes a relation as CSV. Nulls are serialized as "<null_token>:<id>" so
 /// that marked-null identity survives a round trip (a bare null_token would
-/// lose the marks); numeric constants print with full precision.
+/// lose the marks); numeric constants print with full precision. Fails with
+/// InvalidArgument on a NaN or infinite numeric constant, which the loader
+/// would refuse.
 util::Status WriteCsvRelation(const model::Relation& relation,
                               std::ostream& out,
                               const CsvOptions& options = {});

@@ -1,6 +1,5 @@
 #include "src/service/ranking_service.h"
 
-#include <string>
 #include <utility>
 
 #include "src/measure/measure.h"
@@ -8,47 +7,11 @@
 
 namespace mudb::service {
 
-util::Status ValidateRankingOptions(const RankingOptions& options) {
-  if (options.k < 1) {
-    return util::Status::InvalidArgument("ranking k must be >= 1");
-  }
-  if (!(options.delta > 0) || !(options.delta < 1)) {
-    return util::Status::InvalidArgument("ranking delta must be in (0, 1)");
-  }
-  // Negated comparison so a NaN per_estimate_delta fails too.
-  if (options.per_estimate_delta != 0.0 &&
-      (!(options.per_estimate_delta > 0) ||
-       !(options.per_estimate_delta < 1))) {
-    return util::Status::InvalidArgument(
-        "per_estimate_delta must be 0 (split delta) or lie in (0, 1)");
-  }
-  if (options.adaptive_ladder && options.max_tiers < 2) {
-    return util::Status::InvalidArgument(
-        "adaptive ladder needs max_tiers >= 2");
-  }
-  double prev = 2.0;
-  for (double eps : options.ladder) {
-    if (!(eps > 0) || !(eps <= 1)) {
-      return util::Status::InvalidArgument(
-          "ladder epsilons must lie in (0, 1]");
-    }
-    if (!(eps < prev)) {
-      return util::Status::InvalidArgument(
-          "ladder epsilons must strictly decrease");
-    }
-    prev = eps;
-  }
-  return util::Status::OK();
-}
-
 double RankingTierDelta(const RankingOptions& options, size_t num_candidates) {
   if (options.per_estimate_delta > 0) return options.per_estimate_delta;
-  size_t tiers = options.adaptive_ladder
-                     ? static_cast<size_t>(options.max_tiers)
-                     : options.ladder.size() + 1;
   size_t n = num_candidates > 0 ? num_candidates : 1;
   return options.delta /
-         (static_cast<double>(tiers) * static_cast<double>(n));
+         (static_cast<double>(kRankingMaxTiers) * static_cast<double>(n));
 }
 
 util::StatusOr<RankingOutcome> RankingService::RankTopK(

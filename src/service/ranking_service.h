@@ -3,10 +3,12 @@
 // The paper's measure of certainty exists to *compare* candidate answers —
 // "which tuples are most certain?" — yet evaluating all N candidates at the
 // caller's final ε wastes nearly every sampling step on candidates that were
-// never going to make the cut. The scheduler instead walks an ε-ladder
-// (coarse → fine, default 0.2 → 0.1 → 0.05 → each request's own ε): at every
-// tier each surviving candidate is measured once through the MeasureService,
-// its estimate carries the engine's confidence interval (multiplicative
+// never going to make the cut. The scheduler instead walks coarse → fine ε
+// tiers: tier 0 runs at kRankingCoarseEpsilon, and every later tier's ε
+// is chosen from the estimates the previous tier produced, until
+// each survivor reaches its request's own ε. At every tier each surviving
+// candidate is measured once through the MeasureService, its estimate
+// carries the engine's confidence interval (multiplicative
 // [est/(1+ε_t), est/(1−ε_t)] for the FPRAS, additive est ± ε_t for the
 // AFPRAS family, a point for exact engines — MeasureResult::ci_lo/ci_hi),
 // and every candidate whose upper bound falls strictly below the k-th
@@ -14,31 +16,31 @@
 // tier. Tiers reuse the service's caches: repeated candidates hit the
 // request memo and shared geometry hits the body cache within each tier.
 //
-// δ accounting: the ladder performs at most N·T estimates (T = ladder tiers
-// + the final tier), so every estimate runs at δ_t = δ_total / (N·T)
-// (RankingTierDelta). By the union bound, over the δ-consuming engines (the
-// AFPRAS family, whose Hoeffding sample count grows with ln(1/δ)) all
-// intervals hold simultaneously with probability >= 1 − δ_total, and then
-// every pruned candidate's true ν really is below k other candidates' true
-// ν — no true top-k candidate (up to final-ε resolution: candidates whose
-// true values the final intervals cannot separate are interchangeable) is
-// ever pruned. The FPRAS has no δ knob — ε controls its interval's width,
-// not its constant success probability (Thm 7.1) — so for kFpras candidates
-// each interval holds with that per-estimate probability and the pruning
-// guarantee is per-estimate, not union-bounded. Note interval soundness
-// bounds TRUE values: exact agreement with a fixed-precision full batch
-// (which ranks by noisy final-ε estimates) additionally needs the workload's
-// estimates to separate the sets, as bench_ranking's deterministic
-// wide-spread workload does.
+// δ accounting: the schedule walks at most T = kRankingMaxTiers tiers, so it
+// performs at most N·T estimates and every estimate runs at
+// δ_t = δ_total / (N·T) (RankingTierDelta). By the union bound, over the
+// δ-consuming engines (the AFPRAS family, whose Hoeffding sample count
+// grows with ln(1/δ)) all intervals hold simultaneously with probability
+// >= 1 − δ_total, and then every pruned candidate's true ν really is below
+// k other candidates' true ν — no true top-k candidate (up to final-ε
+// resolution: candidates whose true values the final intervals cannot
+// separate are interchangeable) is ever pruned. The FPRAS has no δ knob — ε
+// controls its interval's width, not its constant success probability
+// (Thm 7.1) — so for kFpras candidates each interval holds with that
+// per-estimate probability and the pruning guarantee is per-estimate, not
+// union-bounded. Note interval soundness bounds TRUE values: exact
+// agreement with a fixed-precision full batch (which ranks by noisy final-ε
+// estimates) additionally needs the workload's estimates to separate the
+// sets, as bench_ranking's deterministic wide-spread workload does.
 //
 // Determinism contract: the returned ranking is a pure function of the
 // candidate list and options. Each tier is one MeasureService batch — bit-
 // deterministic per request for any thread count, batch order, and
-// cache state — and the pruning decision reads only the tier-t estimates,
-// in candidate index order, with ties broken by input index; timing never
-// enters. Corollary: permuting the input permutes the outcome by exactly
-// that permutation. ranking_test.cc locks this in across num_threads ∈
-// {1, 2, 8} and shuffled candidate orders.
+// cache state — and the pruning decision and the next tier's ε read only
+// the tier-t estimates, in candidate index order, with ties broken by input
+// index; timing never enters. Corollary: permuting the input permutes the
+// outcome by exactly that permutation. ranking_test.cc locks this in across
+// num_threads ∈ {1, 2, 8} and shuffled candidate orders.
 
 #ifndef MUDB_SRC_SERVICE_RANKING_SERVICE_H_
 #define MUDB_SRC_SERVICE_RANKING_SERVICE_H_
@@ -53,20 +55,21 @@
 
 namespace mudb::service {
 
+/// The schedule's tier budget: the δ split pays for this many tiers
+/// (the coarsest and the final included), and the schedule never walks more.
+inline constexpr int kRankingMaxTiers = 6;
+
+/// Tier 0's ε. Later tiers are chosen from the estimates; a request whose
+/// own ε is at or above it runs at its final precision at tier 0.
+inline constexpr double kRankingCoarseEpsilon = 0.2;
+
 struct RankingOptions {
   /// How many most-certain candidates to return.
   int k = 1;
-  /// Coarse-to-fine ε tiers walked before the final tier (each request's
-  /// own options.epsilon). Values must lie in (0, 1] and strictly
-  /// decrease; a tier at or below a request's own ε runs that candidate at
-  /// its final precision and finishes it early. In adaptive mode only the
-  /// first entry is used (the coarsest tier); later tiers are chosen from
-  /// the observed estimates.
-  std::vector<double> ladder = {0.2, 0.1, 0.05};
   /// Total failure budget for the whole ranking decision, split across the
-  /// at most N·T estimates via the union bound (RankingTierDelta; T is the
-  /// ladder length + 1, or max_tiers in adaptive mode). Each request's own
-  /// options.delta is overridden by the split.
+  /// at most N·kRankingMaxTiers estimates via the union bound
+  /// (RankingTierDelta). Each request's own options.delta is overridden by
+  /// the split.
   double delta = 0.05;
   /// When nonzero (must lie in (0, 1)): every tier request runs at exactly
   /// this δ instead of the δ/(N·T) split. The caller owns the union-bound
@@ -75,38 +78,12 @@ struct RankingOptions {
   /// across inserts and removals (with the default split, any change to N
   /// re-budgets every estimate and invalidates everything).
   double per_estimate_delta = 0.0;
-  /// Adaptive ladder: instead of walking the fixed `ladder`, tier 0 runs at
-  /// ladder.front() and every later ε is chosen from the tier-t estimates
-  /// alone — survivor counts and the interval gaps around the k-th value,
-  /// under the steps ∝ 1/ε² cost model (tier_stats records the measured
-  /// per-tier costs the model abstracts). Once the active set is down to k
-  /// (the top-k set is separated), or an intermediate tier can no longer
-  /// prune more than it costs, the schedule jumps straight to the final
-  /// tier. Purely a schedule change: outcomes remain deterministic, and the
-  /// survivors' final evaluations are the same bit-identical requests.
-  bool adaptive_ladder = false;
-  /// Adaptive mode's tier budget for the δ split (total tiers including the
-  /// coarsest and the final; the schedule never exceeds it). Must be >= 2.
-  int max_tiers = 6;
-  /// Route intermediate tiers between engines, deterministically from the
-  /// tier-t estimates alone: a kFpras candidate (linear grounding, so the
-  /// AFPRAS applies too) whose estimate sits far from the running k-th
-  /// value — farther than the next tier's ε — and above the additive
-  /// floor runs its next intermediate tier on the cheap additive AFPRAS;
-  /// near the cut it keeps the multiplicative FPRAS, whose interval width
-  /// scales with the value. Final tiers always run the request's own
-  /// method, so routing never changes what a survivor reports.
-  bool route_engines = false;
 };
 
-/// Validates k, δ, the ladder, and the adaptive knobs. Exposed because both
-/// the one-shot scheduler and RankingSession enforce it.
-util::Status ValidateRankingOptions(const RankingOptions& options);
-
 /// The per-estimate δ every tier request runs at: per_estimate_delta when
-/// set, else δ / (N·T) with T = ladder tiers + 1 (max_tiers in adaptive
-/// mode). Exposed so benches and tests can construct fixed-precision
-/// baselines whose final-tier requests are bit-identical to the ladder's.
+/// set, else δ / (N·kRankingMaxTiers). Exposed so benches and tests can
+/// construct fixed-precision baselines whose final-tier requests are
+/// bit-identical to the ranking's.
 double RankingTierDelta(const RankingOptions& options, size_t num_candidates);
 
 /// Per-candidate outcome, in input order.
@@ -150,10 +127,10 @@ class RankingService {
   explicit RankingService(MeasureService* service) : service_(service) {}
 
   /// Ranks the candidates and returns the top-k most certain. Fails with
-  /// InvalidArgument on malformed options (k < 1, non-decreasing ladder,
-  /// ε/δ outside their ranges — every candidate's MeasureOptions is
-  /// validated up front) and propagates the first failing candidate's
-  /// status (lowest input index) if a request errors.
+  /// InvalidArgument on malformed options (k < 1, ε/δ outside their
+  /// ranges — every candidate's MeasureOptions is validated up front) and
+  /// propagates the first failing candidate's status (lowest input index)
+  /// if a request errors.
   util::StatusOr<RankingOutcome> RankTopK(
       std::vector<MeasureRequest> candidates,
       const RankingOptions& options = {});

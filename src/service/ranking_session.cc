@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <optional>
 #include <string>
 #include <unordered_set>
 #include <utility>
@@ -16,16 +17,9 @@ namespace mudb::service {
 
 namespace {
 
-// Values below this floor never route to the additive AFPRAS at an
-// intermediate tier: an additive ±ε interval around a small value is wider,
-// relatively, than the multiplicative FPRAS interval it would replace, so
-// the tier would lose pruning power exactly where the cut usually sits.
-constexpr double kRouteValueFloor = 0.15;
-
 // The k-th largest estimate among the active candidates — the running cut
-// the routing rule measures distance from. Falls back to the smallest
-// active estimate when fewer than k are active (then nobody is prunable and
-// the cut only gates routing).
+// the schedule measures each open candidate's gap from. Falls back to the
+// smallest active estimate when fewer than k are active.
 double KthLargestValue(const std::vector<SessionCandidate>& candidates,
                        const std::vector<bool>& active, size_t k) {
   std::vector<double> values;
@@ -40,18 +34,17 @@ double KthLargestValue(const std::vector<SessionCandidate>& candidates,
   return values[nth];
 }
 
-// Chooses the next adaptive tier's ε from the tier-t estimates alone — a
-// pure function of (estimates, options), so the schedule inherits the
-// determinism contract of the estimates. std::nullopt means "jump straight
-// to the final tier".
-std::optional<double> NextAdaptiveEps(
-    size_t t, double cur_eps, const RankingOptions& options,
-    const std::vector<SessionCandidate>& candidates,
+// Chooses the next tier's ε from the tier-t estimates alone — a pure
+// function of the estimates, so the schedule inherits the determinism
+// contract of the estimates. std::nullopt means "jump straight to the
+// final tier".
+std::optional<double> NextTierEps(
+    size_t t, double cur_eps, const std::vector<SessionCandidate>& candidates,
     const std::vector<bool>& active, const std::vector<bool>& frozen,
     const std::vector<double>& final_eps, size_t k) {
-  // δ budget: the split paid for max_tiers tiers, so tier t+1 must be the
-  // final one once only one slot remains.
-  if (t + 2 >= static_cast<size_t>(options.max_tiers)) return std::nullopt;
+  // δ budget: the split paid for kRankingMaxTiers tiers, so tier t+1 must
+  // be the final one once only one slot remains.
+  if (t + 2 >= static_cast<size_t>(kRankingMaxTiers)) return std::nullopt;
 
   const size_t n = candidates.size();
   size_t num_active = 0;
@@ -110,6 +103,24 @@ std::optional<double> NextAdaptiveEps(
   return eps;
 }
 
+// Validates k, δ and per_estimate_delta. Negated comparisons so a NaN
+// fails every range check.
+util::Status ValidateRankingOptions(const RankingOptions& options) {
+  if (options.k < 1) {
+    return util::Status::InvalidArgument("ranking k must be >= 1");
+  }
+  if (!(options.delta > 0) || !(options.delta < 1)) {
+    return util::Status::InvalidArgument("ranking delta must be in (0, 1)");
+  }
+  if (options.per_estimate_delta != 0.0 &&
+      (!(options.per_estimate_delta > 0) ||
+       !(options.per_estimate_delta < 1))) {
+    return util::Status::InvalidArgument(
+        "per_estimate_delta must be 0 (split delta) or lie in (0, 1)");
+  }
+  return util::Status::OK();
+}
+
 // A delta's request must carry valid options and a formula; `what` names
 // the candidate in the message.
 util::Status ValidateRequest(const MeasureRequest& request,
@@ -133,17 +144,6 @@ RankingSession::Slot* RankingSession::FindSlot(CandidateId id) {
       [](const Slot& slot, CandidateId value) { return slot.id < value; });
   if (it == candidates_.end() || it->id != id) return nullptr;
   return &*it;
-}
-
-const RankingSession::Slot* RankingSession::FindSlot(CandidateId id) const {
-  return const_cast<RankingSession*>(this)->FindSlot(id);
-}
-
-std::optional<SessionCandidate> RankingSession::Candidate(
-    CandidateId id) const {
-  const Slot* slot = FindSlot(id);
-  if (slot == nullptr || !slot->ranked) return std::nullopt;
-  return slot->last;
 }
 
 void RankingSession::ReleaseSlot(Slot& slot) {
@@ -222,9 +222,6 @@ util::Status RankingSession::ApplyDelta(RankingDelta&& delta,
     ReleaseSlot(slot);
     slot.request = std::move(request);
     slot.content_key = key;
-    slot.last = SessionCandidate{};
-    slot.last.id = slot.id;
-    slot.ranked = false;
     ++outcome->invalidated;
   }
   for (MeasureRequest& request : delta.inserts) {
@@ -232,7 +229,6 @@ util::Status RankingSession::ApplyDelta(RankingDelta&& delta,
     slot.id = next_id_++;
     slot.content_key = RequestSignature(*request.formula, request.options);
     slot.request = std::move(request);
-    slot.last.id = slot.id;
     outcome->inserted_ids.push_back(slot.id);
     candidates_.push_back(std::move(slot));
   }
@@ -243,7 +239,6 @@ util::Status RankingSession::RunLadder(RerankOutcome* outcome) {
   const size_t n = candidates_.size();
   const size_t k = static_cast<size_t>(options_.k);
   const double tier_delta = RankingTierDelta(options_, n);
-  const bool adaptive = options_.adaptive_ladder;
 
   outcome->candidates.clear();
   outcome->candidates.reserve(n);
@@ -261,30 +256,15 @@ util::Status RankingSession::RunLadder(RerankOutcome* outcome) {
   std::vector<bool> frozen(n, false);
 
   // The nominal ε of the tier about to run; nullopt = the final tier
-  // (every candidate at its own ε). Fixed mode walks the ladder; adaptive
-  // mode starts at the ladder's coarsest entry and derives the rest.
-  std::optional<double> tier_eps;
-  // Routing context: the previous tier's running cut (k-th largest active
-  // estimate). Routing only kicks in once estimates exist at all.
-  bool have_cut = false;
-  double prev_vk = 0.0;
+  // (every candidate at its own ε). Tier 0 runs at kRankingCoarseEpsilon;
+  // each later ε is chosen at the end of the previous tier, from its
+  // estimates.
+  std::optional<double> tier_eps = kRankingCoarseEpsilon;
 
   for (size_t t = 0;; ++t) {
-    if (t == 0) {
-      tier_eps = options_.ladder.empty()
-                     ? std::nullopt
-                     : std::optional<double>(options_.ladder.front());
-    } else if (!adaptive) {
-      tier_eps = t < options_.ladder.size()
-                     ? std::optional<double>(options_.ladder[t])
-                     : std::nullopt;
-    }
-    // (adaptive mode: tier_eps for t >= 1 was chosen at the end of the
-    // previous iteration, from that tier's estimates.)
-
     // Assemble the tier from the unfinished survivors. A tier ε at or below
     // a candidate's own ε clamps to the final precision — that request IS
-    // the candidate's final evaluation, so routing never applies to it.
+    // the candidate's final evaluation.
     struct Pending {
       size_t idx;
       double eps;
@@ -302,13 +282,6 @@ util::Status RankingSession::RunLadder(RerankOutcome* outcome) {
       MeasureRequest request = slot.request;
       request.options.epsilon = eps;
       request.options.delta = tier_delta;
-      if (options_.route_engines && eps != final_eps[i] && have_cut &&
-          request.options.method == measure::Method::kFpras) {
-        const double value = outcome->candidates[i].result.value;
-        if (value >= kRouteValueFloor && std::abs(value - prev_vk) > eps) {
-          request.options.method = measure::Method::kAfpras;
-        }
-      }
       Pending pending;
       pending.idx = i;
       pending.eps = eps;
@@ -396,12 +369,9 @@ util::Status RankingSession::RunLadder(RerankOutcome* outcome) {
       tier_span.Annotate("survivors", static_cast<double>(survivors));
     }
 
-    // Context for the next tier, from this tier's estimates alone.
-    prev_vk = KthLargestValue(outcome->candidates, active, k);
-    have_cut = true;
-    if (adaptive && tier_eps.has_value()) {
-      tier_eps = NextAdaptiveEps(t, *tier_eps, options_, outcome->candidates,
-                                 active, frozen, final_eps, k);
+    if (tier_eps.has_value()) {
+      tier_eps = NextTierEps(t, *tier_eps, outcome->candidates, active,
+                             frozen, final_eps, k);
     }
   }
 
@@ -434,10 +404,6 @@ util::StatusOr<RerankOutcome> RankingSession::Rerank(RankingDelta delta) {
   RerankOutcome outcome;
   MUDB_RETURN_IF_ERROR(ApplyDelta(std::move(delta), &outcome));
   MUDB_RETURN_IF_ERROR(RunLadder(&outcome));
-  for (size_t i = 0; i < candidates_.size(); ++i) {
-    candidates_[i].last = outcome.candidates[i];
-    candidates_[i].ranked = true;
-  }
   outcome.trace_id = span.context().trace_id;
   if (span.recording()) {
     span.Annotate("candidates", static_cast<double>(candidates_.size()));

@@ -14,7 +14,7 @@
 // (request_key.h: formula content × method × ε × δ × seed), so the session
 // keeps a memo from signature to result. Rerank re-runs the full ladder
 // decision procedure over the current candidate set from tier 0 — pruning
-// thresholds, freezes, and the adaptive schedule are all recomputed — but
+// thresholds, freezes, and the tier schedule are all recomputed — but
 // every evaluation whose signature is warm is served from the memo for free
 // (bit-identical to recomputation, zero sampling steps); only signatures
 // the memo has never seen reach the MeasureService. The decision procedure
@@ -53,7 +53,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -132,7 +131,7 @@ class RankingSession {
   /// Rerank (so a default-constructed session with bad options fails
   /// loudly, not at construction).
   RankingSession(MeasureService* service, RankingOptions options)
-      : service_(service), options_(std::move(options)) {}
+      : service_(service), options_(options) {}
 
   RankingSession(const RankingSession&) = delete;
   RankingSession& operator=(const RankingSession&) = delete;
@@ -150,9 +149,6 @@ class RankingSession {
   size_t num_candidates() const { return candidates_.size(); }
   /// Warm per-tier results currently retained across all candidates.
   size_t memo_size() const { return memo_.size(); }
-  /// The last successful Rerank's outcome entry for `id` (nullopt when the
-  /// id is unknown, removed, or not yet ranked).
-  std::optional<SessionCandidate> Candidate(CandidateId id) const;
 
  private:
   struct Slot {
@@ -160,10 +156,6 @@ class RankingSession {
     MeasureRequest request;  // validated: carries a formula
     convex::CanonicalBodyKey content_key;  // signature of (content, options)
     std::vector<convex::CanonicalBodyKey> owned_sigs;  // memo refs held
-    // Last successful rank's outcome (introspection only; rebuilt per
-    // Rerank, so these never feed the next call's decisions).
-    SessionCandidate last;
-    bool ranked = false;
   };
   struct MemoEntry {
     measure::MeasureResult result;
@@ -177,7 +169,6 @@ class RankingSession {
   void TakeRef(Slot& slot, const convex::CanonicalBodyKey& sig);
   util::Status RunLadder(RerankOutcome* outcome);
   Slot* FindSlot(CandidateId id);
-  const Slot* FindSlot(CandidateId id) const;
 
   MeasureService* service_;
   RankingOptions options_;

@@ -1,6 +1,8 @@
 // Tests for CSV import/export of incomplete relations.
 
+#include <cmath>
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -114,6 +116,49 @@ TEST(CsvLoadTest, RejectsBadRows) {
                    .ok());  // trailing junk in number
 }
 
+TEST(CsvLoadTest, RejectsNonFiniteAndNonDecimalNumbers) {
+  // std::stod would read the first five: as NaN, ±∞, 16 and 7. The next
+  // four break the grammar. The last two leave a double's range: 1e999
+  // overflows, and 1e-400 underflows to zero, which is refused rather than
+  // read as 0.
+  for (const char* cell : {"nan", "inf", "-inf", "0x10", " 7", ".", "1e",
+                           "1.2.3", "+-3", "1e999", "1e-400"}) {
+    Database db;
+    auto rows = LoadCsvRelation(
+        &db, ItemsSchema(), std::string("name,price\napple,") + cell + "\n");
+    EXPECT_EQ(rows.status().code(), util::StatusCode::kInvalidArgument)
+        << "'" << cell << "'";
+  }
+  // Sign, leading or trailing '.', and exponent forms still load.
+  Database db;
+  auto rows = LoadCsvRelation(&db, ItemsSchema(),
+                              "name,price\n"
+                              "a,1e3\n"
+                              "b,-2.5\n"
+                              "c,+3\n"
+                              "d,.5\n");
+  ASSERT_TRUE(rows.ok()) << rows.status();
+  const auto& tuples = db.GetRelation("Items").value()->tuples();
+  EXPECT_EQ(tuples[0][1], Value::NumConst(1000));
+  EXPECT_EQ(tuples[1][1], Value::NumConst(-2.5));
+  EXPECT_EQ(tuples[2][1], Value::NumConst(3));
+  EXPECT_EQ(tuples[3][1], Value::NumConst(0.5));
+}
+
+TEST(CsvLoadTest, QuotedNullTokenIsAConstant) {
+  Database db;
+  auto rows = LoadCsvRelation(&db, ItemsSchema(),
+                              "name,price\n"
+                              "\"NULL\",1\n"
+                              "\"NULL:b7\",2\n"
+                              "NULL,3\n");
+  ASSERT_TRUE(rows.ok()) << rows.status();
+  const auto& tuples = db.GetRelation("Items").value()->tuples();
+  EXPECT_EQ(tuples[0][0], Value::BaseConst("NULL"));
+  EXPECT_EQ(tuples[1][0], Value::BaseConst("NULL:b7"));
+  EXPECT_TRUE(tuples[2][0].is_null());
+}
+
 TEST(CsvLoadTest, TagSortConflictRejected) {
   Database db;
   RelationSchema schema("T", {{"a", Sort::kBase}, {"x", Sort::kNum}});
@@ -179,6 +224,12 @@ TEST(CsvRoundTripTest, QuotedDelimiterNewlineCellsSurvive) {
   ASSERT_TRUE(db.Insert("Items", {Value::BaseConst("cr\rcell"),
                                   Value::NumConst(2.5e-4)})
                   .ok());
+  // Constants spelled like the null token or a tagged null.
+  ASSERT_TRUE(
+      db.Insert("Items", {Value::BaseConst("NULL"), Value::NumConst(4)}).ok());
+  ASSERT_TRUE(
+      db.Insert("Items", {Value::BaseConst("NULL:b7"), Value::NumConst(5)})
+          .ok());
 
   std::ostringstream out;
   ASSERT_TRUE(
@@ -187,7 +238,7 @@ TEST(CsvRoundTripTest, QuotedDelimiterNewlineCellsSurvive) {
   Database db2;
   auto rows = LoadCsvRelation(&db2, ItemsSchema(), out.str());
   ASSERT_TRUE(rows.ok()) << rows.status();
-  ASSERT_EQ(*rows, 4u);
+  ASSERT_EQ(*rows, 6u);
   const auto& t1 = db.GetRelation("Items").value()->tuples();
   const auto& t2 = db2.GetRelation("Items").value()->tuples();
   for (size_t r = 0; r < t1.size(); ++r) {
@@ -198,6 +249,46 @@ TEST(CsvRoundTripTest, QuotedDelimiterNewlineCellsSurvive) {
       EXPECT_TRUE(t2[r][1].is_null()) << "row " << r;
     }
   }
+}
+
+TEST(CsvRoundTripTest, NonFiniteNumbersAreNotWritten) {
+  // The loader refuses them, so the writer must not emit them — nor the
+  // header and the rows before them, which would read back as a valid,
+  // shorter relation.
+  for (double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    Database db;
+    ASSERT_TRUE(db.CreateRelation(ItemsSchema()).ok());
+    ASSERT_TRUE(
+        db.Insert("Items", {Value::BaseConst("a"), Value::NumConst(1)}).ok());
+    ASSERT_TRUE(
+        db.Insert("Items", {Value::BaseConst("b"), Value::NumConst(bad)})
+            .ok());
+    std::ostringstream out;
+    EXPECT_EQ(WriteCsvRelation(*db.GetRelation("Items").value(), out).code(),
+              util::StatusCode::kInvalidArgument)
+        << bad;
+    EXPECT_TRUE(out.str().empty()) << bad;
+  }
+}
+
+TEST(CsvRoundTripTest, EmptyConstantInOneColumnRelationSurvives) {
+  // Written bare, the empty constant would be an empty line, which the
+  // loader skips.
+  RelationSchema schema("Names", {{"name", Sort::kBase}});
+  Database db;
+  ASSERT_TRUE(db.CreateRelation(schema).ok());
+  ASSERT_TRUE(db.Insert("Names", {Value::BaseConst("")}).ok());
+  ASSERT_TRUE(db.Insert("Names", {Value::BaseConst("x")}).ok());
+  std::ostringstream out;
+  ASSERT_TRUE(WriteCsvRelation(*db.GetRelation("Names").value(), out).ok());
+
+  Database db2;
+  auto rows = LoadCsvRelation(&db2, schema, out.str());
+  ASSERT_TRUE(rows.ok()) << rows.status();
+  ASSERT_EQ(*rows, 2u);
+  const auto& tuples = db2.GetRelation("Names").value()->tuples();
+  EXPECT_EQ(tuples[0][0], Value::BaseConst(""));
+  EXPECT_EQ(tuples[1][0], Value::BaseConst("x"));
 }
 
 TEST(CsvEndToEndTest, LoadedDataFlowsThroughTheMeasurePipeline) {

@@ -3,9 +3,9 @@
 // the rerank determinism contract (rerank outcome ≡ cold rank of the same
 // final state, at any thread count, for any delta sequence), content-keyed
 // invalidation (identical-content updates keep every warm tier), streaming
-// inserts/removals under per_estimate_delta, the adaptive ladder, engine
-// routing, all-or-nothing delta failures (a repeated update id included),
-// and introspection.
+// inserts/removals under per_estimate_delta, the tier schedule and its
+// tier budget, all-or-nothing delta failures (a repeated update id
+// included), and introspection.
 
 #include <algorithm>
 #include <cmath>
@@ -55,12 +55,16 @@ constexpr int kWedges = 16;
 
 double WedgeAngle(int d) { return 0.2 + 0.16 * d; }
 
-MeasureRequest WedgeRequest(int d, double epsilon = 0.2) {
+// The battery's final ε: half of tier 0's, so tier 0 prunes the narrow
+// wedges before the survivors refine.
+constexpr double kWedgeEpsilon = kRankingCoarseEpsilon / 2;
+
+MeasureRequest WedgeRequest(int d, double epsilon = kWedgeEpsilon) {
   return MeasureRequest::Nu(Wedge(WedgeAngle(d)),
                             Opts(Method::kFpras, epsilon, 100 + d));
 }
 
-std::vector<MeasureRequest> WedgeBattery(double epsilon = 0.2) {
+std::vector<MeasureRequest> WedgeBattery(double epsilon = kWedgeEpsilon) {
   std::vector<MeasureRequest> reqs;
   reqs.reserve(kWedges);
   for (int d = 0; d < kWedges; ++d) reqs.push_back(WedgeRequest(d, epsilon));
@@ -70,7 +74,6 @@ std::vector<MeasureRequest> WedgeBattery(double epsilon = 0.2) {
 RankingOptions WedgeRanking() {
   RankingOptions opts;
   opts.k = 4;
-  opts.ladder = {0.5, 0.3};
   opts.delta = 0.1;
   return opts;
 }
@@ -200,8 +203,8 @@ TEST(RankingSessionTest, MutationRerankIsBitIdenticalToColdRankOfFinalState) {
   ASSERT_TRUE(cold.ok()) << cold.status();
 
   // Mutate candidate 5 to a different wedge (content change).
-  MeasureRequest mutated = MeasureRequest::Nu(
-      Wedge(WedgeAngle(5) + 0.07), Opts(Method::kFpras, 0.2, 100 + 5));
+  MeasureRequest mutated = WedgeRequest(5);
+  mutated.formula = Wedge(WedgeAngle(5) + 0.07);
   RankingDelta delta;
   delta.updates.emplace_back(5, mutated);
   auto rerank = session.Rerank(std::move(delta));
@@ -229,8 +232,8 @@ TEST(RankingSessionTest, DeltaSequenceDoesNotChangeTheOutcome) {
   // Two sessions reach the same final (id → content) map along different
   // delta sequences; the contract says the rankings agree bit-for-bit.
   RankingOptions ropts = StreamingRanking();
-  MeasureRequest mutated = MeasureRequest::Nu(
-      Wedge(WedgeAngle(7) + 0.05), Opts(Method::kFpras, 0.2, 100 + 7));
+  MeasureRequest mutated = WedgeRequest(7);
+  mutated.formula = Wedge(WedgeAngle(7) + 0.05);
 
   // Session A: insert all, then remove id 3, then mutate id 7.
   MeasureService service_a;
@@ -308,13 +311,10 @@ TEST(RankingSessionTest, DefaultDeltaSplitInvalidatesOnCardinalityChange) {
   EXPECT_GT(rerank->total_sampling_steps, 0);
 }
 
-TEST(RankingSessionTest, AdaptiveLadderIsDeterministicAndSeparatesTopK) {
-  RankingOptions ropts;
-  ropts.k = 4;
-  ropts.ladder = {0.5};
-  ropts.delta = 0.1;
-  ropts.adaptive_ladder = true;
-  ropts.max_tiers = 5;
+TEST(RankingSessionTest, ScheduleIsDeterministicAndSeparatesTopK) {
+  // A final ε a quarter of tier 0's leaves the schedule room to choose an
+  // intermediate tier.
+  RankingOptions ropts = WedgeRanking();
 
   RerankOutcome reference;
   for (int threads : {1, 8}) {
@@ -322,68 +322,80 @@ TEST(RankingSessionTest, AdaptiveLadderIsDeterministicAndSeparatesTopK) {
     sopts.num_threads = threads;
     MeasureService service(sopts);
     RankingSession session(&service, ropts);
-    auto outcome = session.Rerank(InsertAll(WedgeBattery(0.1)));
+    auto outcome = session.Rerank(InsertAll(WedgeBattery(0.05)));
     ASSERT_TRUE(outcome.ok()) << outcome.status();
-    EXPECT_LE(outcome->tier_stats.size(), 5u);
+    EXPECT_LE(outcome->tier_stats.size(),
+              static_cast<size_t>(kRankingMaxTiers));
     if (threads == 1) {
       reference = *outcome;
     } else {
       ExpectSameRanking(reference, *outcome);
-      EXPECT_EQ(reference.total_sampling_steps,
-                outcome->total_sampling_steps);
+      EXPECT_EQ(reference.total_sampling_steps, outcome->total_sampling_steps);
     }
   }
 
-  // The wide wedge spread separates the true top-4; survivors reached their
-  // own final ε and a survivor's final evaluation is the same bit-identical
-  // request a fixed ladder would have issued (same ε, same tier δ when the
-  // budgets agree).
-  std::vector<CandidateId> top = reference.top_k;
-  std::sort(top.begin(), top.end());
-  std::vector<CandidateId> expected = {12, 13, 14, 15};
-  EXPECT_EQ(top, expected);
-  for (CandidateId id : reference.top_k) {
-    const SessionCandidate& cand = reference.candidates[id];
-    EXPECT_TRUE(cand.frozen) << id;
-    EXPECT_EQ(cand.result.epsilon_used, 0.1) << id;
-  }
-}
-
-TEST(RankingSessionTest, EngineRoutingKeepsFinalTierOnRequestMethod) {
-  RankingOptions ropts;
-  ropts.k = 4;
-  ropts.ladder = {0.5, 0.3, 0.15};
-  ropts.delta = 0.1;
-  ropts.route_engines = true;
-
-  // Deterministic across runs and thread counts, like every other mode.
-  RerankOutcome reference;
-  for (int threads : {1, 8}) {
-    ServiceOptions sopts;
-    sopts.num_threads = threads;
-    MeasureService service(sopts);
-    RankingSession session(&service, ropts);
-    auto outcome = session.Rerank(InsertAll(WedgeBattery(0.1)));
-    ASSERT_TRUE(outcome.ok()) << outcome.status();
-    if (threads == 1) {
-      reference = *outcome;
-    } else {
-      ExpectSameRanking(reference, *outcome);
-    }
-  }
-
-  // Routing only ever touches intermediate tiers: every unpruned candidate
-  // finished on its own requested engine at its own ε.
+  // The wide wedge spread separates the true top-4. Every unpruned
+  // candidate finished on its own requested engine at its own ε, so a
+  // survivor's final evaluation is the same bit-identical request a
+  // fixed-precision batch at the tier δ would issue.
   std::vector<CandidateId> top = reference.top_k;
   std::sort(top.begin(), top.end());
   std::vector<CandidateId> expected = {12, 13, 14, 15};
   EXPECT_EQ(top, expected);
   for (const SessionCandidate& cand : reference.candidates) {
-    if (!cand.pruned) {
-      EXPECT_EQ(cand.result.method_used, Method::kFpras) << cand.id;
-      EXPECT_EQ(cand.result.epsilon_used, 0.1) << cand.id;
+    if (cand.pruned) continue;
+    EXPECT_TRUE(cand.frozen) << cand.id;
+    EXPECT_EQ(cand.result.method_used, Method::kFpras) << cand.id;
+    EXPECT_EQ(cand.result.epsilon_used, 0.05) << cand.id;
+  }
+}
+
+TEST(RankingSessionTest, ScheduleStopsAtTheTierBudget) {
+  // A tight final ε and k = 1 over additive-interval wedges whose two
+  // widest differ by only 0.1 / (2π): every intermediate tier still finds
+  // candidates worth pruning, so only the tier budget the δ split paid for
+  // ends the walk. Without the cap this battery walks a seventh tier.
+  std::vector<MeasureRequest> reqs;
+  for (int d = 0; d < kWedges; ++d) {
+    reqs.push_back(MeasureRequest::Nu(Wedge(0.2 + 0.1 * d),
+                                      Opts(Method::kAfpras, 0.003, 100 + d)));
+  }
+  RankingOptions ropts;
+  ropts.k = 1;
+  ropts.delta = 0.1;
+
+  RerankOutcome reference;
+  for (int threads : {1, 8}) {
+    ServiceOptions sopts;
+    sopts.num_threads = threads;
+    MeasureService service(sopts);
+    RankingSession session(&service, ropts);
+    auto outcome = session.Rerank(InsertAll(reqs));
+    ASSERT_TRUE(outcome.ok()) << outcome.status();
+    if (threads == 1) {
+      reference = *outcome;
+    } else {
+      ExpectSameRanking(reference, *outcome);
+      EXPECT_EQ(reference.total_sampling_steps, outcome->total_sampling_steps);
     }
   }
+
+  ASSERT_EQ(reference.tier_stats.size(), static_cast<size_t>(kRankingMaxTiers));
+  const std::vector<int64_t> expected_requests = {16, 16, 9, 5, 3, 2};
+  for (size_t t = 0; t < reference.tier_stats.size(); ++t) {
+    EXPECT_EQ(reference.tier_stats[t].requests, expected_requests[t]) << t;
+  }
+  EXPECT_EQ(reference.top_k, std::vector<CandidateId>{15});
+  int survivors = 0;
+  for (const SessionCandidate& cand : reference.candidates) {
+    if (cand.pruned) continue;
+    ++survivors;
+    EXPECT_TRUE(cand.frozen) << cand.id;
+    EXPECT_EQ(cand.result.tier, kRankingMaxTiers - 1) << cand.id;
+    EXPECT_EQ(cand.result.epsilon_used, 0.003) << cand.id;
+    EXPECT_EQ(cand.result.method_used, Method::kAfpras) << cand.id;
+  }
+  EXPECT_EQ(survivors, 2);
 }
 
 TEST(RankingSessionTest, BadDeltasAreAllOrNothing) {
@@ -426,7 +438,6 @@ TEST(RankingSessionTest, BadDeltasAreAllOrNothing) {
   EXPECT_EQ(mixed_outcome.status().code(),
             util::StatusCode::kInvalidArgument);
   EXPECT_EQ(session.num_candidates(), static_cast<size_t>(kWedges));
-  EXPECT_TRUE(session.Candidate(3).has_value());
 
   // The session is untouched: an empty rerank replays entirely warm.
   auto replay = session.Rerank();
@@ -466,26 +477,18 @@ TEST(RankingSessionTest, IntrospectionTracksSlotsAndMemo) {
   RankingSession session(&service, StreamingRanking());
   EXPECT_EQ(session.num_candidates(), 0u);
   EXPECT_EQ(session.memo_size(), 0u);
-  EXPECT_FALSE(session.Candidate(0).has_value());
 
   auto cold = session.Rerank(InsertAll(WedgeBattery()));
   ASSERT_TRUE(cold.ok()) << cold.status();
   EXPECT_EQ(session.num_candidates(), static_cast<size_t>(kWedges));
   EXPECT_GT(session.memo_size(), 0u);
 
-  auto snapshot = session.Candidate(7);
-  ASSERT_TRUE(snapshot.has_value());
-  EXPECT_EQ(snapshot->id, 7u);
-  EXPECT_EQ(snapshot->result.value, cold->candidates[7].result.value);
-  EXPECT_EQ(snapshot->pruned, cold->candidates[7].pruned);
-
-  // Removal releases the slot, its snapshot, and its memo references.
+  // Removal releases the slot and its memo references.
   size_t memo_before = session.memo_size();
   RankingDelta remove7;
   remove7.removals.push_back(7);
   ASSERT_TRUE(session.Rerank(std::move(remove7)).ok());
   EXPECT_EQ(session.num_candidates(), static_cast<size_t>(kWedges) - 1);
-  EXPECT_FALSE(session.Candidate(7).has_value());
   EXPECT_LT(session.memo_size(), memo_before);
 
   // Ids are never reused: the next insert continues the counter.
@@ -517,10 +520,10 @@ TEST(RankingSessionTest, DuplicateCandidatesStayBitIdenticalThroughRerank) {
     EXPECT_EQ(a.ci_hi, b.ci_hi) << pair;
   }
 
+  MeasureRequest mutated = WedgeRequest(5);
+  mutated.formula = Wedge(WedgeAngle(5) + 0.3);
   RankingDelta delta;
-  delta.updates.emplace_back(
-      10, MeasureRequest::Nu(Wedge(WedgeAngle(5) + 0.3),
-                             Opts(Method::kFpras, 0.2, 100 + 5)));
+  delta.updates.emplace_back(10, mutated);
   auto rerank = session.Rerank(std::move(delta));
   ASSERT_TRUE(rerank.ok()) << rerank.status();
   EXPECT_EQ(rerank->invalidated, 1);
@@ -538,9 +541,7 @@ TEST(RankingSessionTest, DuplicateCandidatesStayBitIdenticalThroughRerank) {
   for (int d = 0; d < 8; ++d) {
     for (int copy = 0; copy < 2; ++copy) {
       if (d == 5 && copy == 0) {
-        final_state.push_back(
-            MeasureRequest::Nu(Wedge(WedgeAngle(5) + 0.3),
-                               Opts(Method::kFpras, 0.2, 100 + 5)));
+        final_state.push_back(mutated);
       } else {
         final_state.push_back(WedgeRequest(d));
       }
