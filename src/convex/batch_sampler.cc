@@ -5,8 +5,6 @@
 #include <cstddef>
 #include <limits>
 
-#include "src/convex/sampler.h"
-
 namespace mudb::convex {
 
 std::vector<ChainGroup> PartitionChainGrid(int chains) {
@@ -47,12 +45,13 @@ BatchedHitAndRunSampler::BatchedHitAndRunSampler(const ConvexBody* body,
 void BatchedHitAndRunSampler::ResetLane(int lane, const geom::Vec& start) {
   MUDB_CHECK(lane >= 0 && lane < lanes_);
   MUDB_CHECK(static_cast<int>(start.size()) == body_->dim());
-  // Same contract as the scalar constructor/set_current: an exterior point
-  // would silently freeze the chain, so fail fast here instead.
+  // An exterior point would silently freeze the chain (every chord
+  // degenerate), so fail fast here instead.
   MUDB_CHECK(body_->Contains(start));
   const int n = body_->dim();
   const size_t stride = static_cast<size_t>(lanes_);
-  for (int j = 0; j < n; ++j) x_[static_cast<size_t>(j) * stride + lane] = start[j];
+  for (int j = 0; j < n; ++j)
+    x_[static_cast<size_t>(j) * stride + lane] = start[j];
   initialized_[lane] = 1;
   RefreshLane(lane);
 }
@@ -96,13 +95,14 @@ void BatchedHitAndRunSampler::RefreshLane(int lane) {
 }
 
 // Dense lockstep walk with a compile-time lane count. Same per-lane
-// floating-point sequence as the scalar HitAndRunSampler::Step (same
-// operations, same order, same tolerances — the bit-identity contract), but
-// structured as K-wide panel operations: the lane loops have constant trip
-// count K so they unroll completely, the per-row A·d and (x−c)·d dot
-// products accumulate in K registers, and the post-draw move is fused with
-// the containment guard into a single pass over the cached products. The
-// step loop lives inside this function so panel pointers are hoisted once.
+// floating-point sequence as one scalar hit-and-run step (same operations,
+// same order, same tolerances — the bit-identity contract the tests check
+// against tests/scalar_sampler.h), but structured as K-wide panel
+// operations: the lane loops have constant trip count K so they unroll
+// completely, the per-row A·d and (x−c)·d dot products accumulate in K
+// registers, and the post-draw move is fused with the containment guard
+// into a single pass over the cached products. The step loop lives inside
+// this function so panel pointers are hoisted once.
 template <int K>
 void BatchedHitAndRunSampler::WalkDense(int steps, util::Rng* const* rngs) {
   const int n = body_->dim();

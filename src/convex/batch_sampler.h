@@ -10,16 +10,16 @@
 // Determinism is the hard constraint, not a side effect. Lane l is a fixed
 // chain slot: it draws every deviate from its own rng (the chain's
 // substream), carries its own incremental A·x / ball-distance caches with
-// the same fixed 1024-step exact-refresh schedule as the scalar sampler, and
-// performs per step exactly the floating-point operations, in exactly the
-// order, that `HitAndRunSampler::Step` performs — so every lane's trajectory
-// is bit-identical to a scalar sampler walking (body, start, substream),
-// for any K and any lane→chain mapping. The estimator chain grids —
-// the annealed phases of convex/volume.cc and the Karp–Luby loop of
-// volume/union_volume.cc — route through this kernel via
-// PartitionChainGrid without perturbing any estimate
-// (`sampler_kernel_test` / `batch_sampler_test` prove lane ≡ scalar at
-// every dense-specialized K ∈ {1, 2, 4, 8, 16}).
+// a fixed exact-refresh schedule (kSamplerRefreshInterval), and performs
+// per step exactly the floating-point operations, in exactly the order, of
+// one scalar hit-and-run step — so every lane's trajectory is bit-identical
+// to a single chain walking (body, start, substream), for any K and any
+// lane→chain mapping. The estimator chain grids — the annealed phases of
+// convex/volume.cc and the Karp–Luby loop of volume/union_volume.cc — route
+// through this kernel via PartitionChainGrid without perturbing any
+// estimate. `sampler_kernel_test` / `batch_sampler_test` prove lane ≡
+// scalar at every dense-specialized K ∈ {1, 2, 4, 8, 16} against the
+// scalar reference sampler in tests/scalar_sampler.h.
 
 #ifndef MUDB_SRC_CONVEX_BATCH_SAMPLER_H_
 #define MUDB_SRC_CONVEX_BATCH_SAMPLER_H_
@@ -32,6 +32,14 @@
 #include "src/util/rng.h"
 
 namespace mudb::convex {
+
+/// Exact-recompute cadence of each lane's incremental caches. Per-step
+/// drift is a few ulps, so over an interval the accumulated error stays
+/// orders of magnitude below the 1e-12 containment tolerance, while the
+/// amortized cost of the O(m·n) refresh is negligible. The schedule depends
+/// only on each chain's own step count — part of the determinism contract
+/// (chains stay pure functions of (body, start, rng stream)).
+inline constexpr int kSamplerRefreshInterval = 1024;
 
 /// Widest dense lane count the kernel specializes (WalkDense<16> is the
 /// 512-bit sweet spot on AVX-512 hosts; wider panels spill registers).
@@ -55,8 +63,8 @@ std::vector<ChainGroup> PartitionChainGrid(int chains);
 /// lockstep. State is lane-minor SoA: positions, directions, and the cached
 /// constraint products are n×K / m×K panels with lane l at column l. The
 /// body must outlive the sampler and must not gain constraints while any
-/// lane walks on it (SetBallRadius between walks is fine: ResetLane resyncs,
-/// as with the scalar sampler's set_current).
+/// lane walks on it (SetBallRadius between walks is fine: ResetLane
+/// resyncs).
 class BatchedHitAndRunSampler {
  public:
   /// A kernel with `lanes` chain slots, all uninitialized. ResetLane each
@@ -67,8 +75,7 @@ class BatchedHitAndRunSampler {
   const ConvexBody* body() const { return body_; }
 
   /// (Re)starts lane `lane` at `start`, which must lie inside the body, and
-  /// recomputes that lane's caches exactly — the batched analogue of
-  /// constructing a scalar sampler / calling set_current.
+  /// recomputes that lane's caches exactly.
   void ResetLane(int lane, const geom::Vec& start);
 
   /// Whether ResetLane has been called on `lane` (lazy per-lane init: the
@@ -100,7 +107,7 @@ class BatchedHitAndRunSampler {
   /// Generic indexed step for lane subsets (and dense lane counts outside
   /// the specialized set): identical per-lane arithmetic, indirect lanes.
   void StepSubset(const int* lane_list, int count, util::Rng* const* rngs);
-  /// Exact per-lane cache recompute (the scalar RefreshProducts, one column).
+  /// Exact recompute of one lane's cached products (one panel column).
   void RefreshLane(int lane);
 
   const ConvexBody* body_;

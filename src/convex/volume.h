@@ -15,7 +15,7 @@
 // vectorized K-chain kernel (convex/batch_sampler.h, grouped by
 // PartitionChainGrid — also a pure function of the grid), and the groups of
 // one phase run in parallel on the optional pool. Every lane is
-// bit-identical to a scalar sampler walking its substream, so the estimate
+// bit-identical to a lone chain walking its substream, so the estimate
 // is bit-identical for any group width and any pool size — see
 // thread_pool.h.
 
@@ -23,7 +23,6 @@
 #define MUDB_SRC_CONVEX_VOLUME_H_
 
 #include "src/convex/body.h"
-#include "src/convex/sampler.h"
 #include "src/util/rng.h"
 #include "src/util/status.h"
 #include "src/util/thread_pool.h"

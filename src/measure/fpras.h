@@ -83,7 +83,7 @@ struct FprasResult {
   int sampled_dimension = 0;
   /// Total hit-and-run steps taken by the sampling pipeline (0 on trivial
   /// paths; cache hits contribute nothing); steps / wall-time is the
-  /// throughput the bench JSON records.
+  /// throughput mudb-bench and bench_micro report.
   int64_t sampling_steps = 0;
   /// Unique-body volume estimates served by options.body_cache.
   int64_t body_cache_hits = 0;

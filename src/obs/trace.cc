@@ -1,12 +1,6 @@
 #include "src/obs/trace.h"
 
-#ifndef MUDB_OBS_DISABLED
-
-#include <algorithm>
 #include <atomic>
-#include <cmath>
-#include <cstdio>
-#include <fstream>
 #include <memory>
 #include <mutex>
 
@@ -170,93 +164,4 @@ void Span::Annotate(const char* key, const char* value) {
   Annotate(key, std::string(value));
 }
 
-namespace {
-
-void AppendEscaped(std::string& out, const std::string& s) {
-  out += '"';
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  out += '"';
-}
-
-void AppendNum(std::string& out, double v) {
-  // JSON has no inf/nan literals; a degenerate annotation becomes 0
-  // (the bench_json.h convention).
-  if (!std::isfinite(v)) {
-    out += '0';
-    return;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out += buf;
-}
-
-}  // namespace
-
-std::string ChromeTraceJson(const std::vector<SpanRecord>& spans) {
-  // Sort by (trace, start) so the file is stable for a given recording
-  // and each request's spans are contiguous.
-  std::vector<const SpanRecord*> ordered;
-  ordered.reserve(spans.size());
-  for (const auto& s : spans) ordered.push_back(&s);
-  std::stable_sort(ordered.begin(), ordered.end(),
-                   [](const SpanRecord* a, const SpanRecord* b) {
-                     if (a->trace_id != b->trace_id)
-                       return a->trace_id < b->trace_id;
-                     return a->start_nanos < b->start_nanos;
-                   });
-
-  std::string out;
-  out += "{\"traceEvents\": [";
-  bool first = true;
-  for (const SpanRecord* s : ordered) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "  {\"name\": ";
-    AppendEscaped(out, s->name);
-    // pid = trace id so one request renders as one process lane; tid =
-    // span id so nested spans never collapse onto one row by accident.
-    out += ", \"ph\": \"X\", \"pid\": " + std::to_string(s->trace_id);
-    out += ", \"tid\": " + std::to_string(s->span_id);
-    out += ", \"ts\": ";
-    AppendNum(out, s->start_nanos * 1e-3);  // trace_event wants microseconds
-    out += ", \"dur\": ";
-    AppendNum(out, (s->end_nanos - s->start_nanos) * 1e-3);
-    out += ", \"args\": {\"span_id\": " + std::to_string(s->span_id);
-    out += ", \"parent_id\": " + std::to_string(s->parent_id);
-    for (const auto& a : s->annotations) {
-      out += ", ";
-      AppendEscaped(out, a.key);
-      out += ": ";
-      if (a.is_numeric) {
-        AppendNum(out, a.num_value);
-      } else {
-        AppendEscaped(out, a.str_value);
-      }
-    }
-    out += "}}";
-  }
-  out += first ? "]}\n" : "\n]}\n";
-  return out;
-}
-
-bool WriteChromeTrace(const std::string& path) {
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "trace: cannot open %s for writing\n", path.c_str());
-    return false;
-  }
-  out << ChromeTraceJson(CollectSpans());
-  out.flush();
-  if (!out) {
-    std::fprintf(stderr, "trace: write to %s failed\n", path.c_str());
-    return false;
-  }
-  return true;
-}
-
 }  // namespace mudb::obs
-
-#endif  // !MUDB_OBS_DISABLED

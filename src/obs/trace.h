@@ -1,6 +1,5 @@
 // Per-request tracing for the serving stack: RAII spans over thread-local
-// append-only buffers, assembled into span trees ("flight recordings") and
-// exported as Chrome trace_event JSON.
+// append-only buffers, assembled into span trees ("flight recordings").
 //
 // Model:
 //   * A Span covers one timed region. Constructing it reads the thread's
@@ -26,16 +25,15 @@
 // collector never races a detaching thread.
 //
 // Determinism contract (hard-asserted by obs_test): spans draw no RNG,
-// never feed a work grid, and carry no result data — enabling, disabling,
-// or compiling out tracing (MUDB_OBS_DISABLED) leaves every service result
-// bit-identical. The buffer cap (kMaxEventsPerThread) drops excess spans
-// and counts them; it never blocks the recording thread.
+// never feed a work grid, and carry no result data — enabling or disabling
+// tracing leaves every service result bit-identical. The buffer cap
+// (kMaxEventsPerThread) drops excess spans and counts them; it never blocks
+// the recording thread.
 
 #ifndef MUDB_SRC_OBS_TRACE_H_
 #define MUDB_SRC_OBS_TRACE_H_
 
 #include <cstdint>
-#include <cstdio>
 #include <string>
 #include <utility>
 #include <vector>
@@ -70,10 +68,8 @@ struct SpanRecord {
   double DurationMillis() const { return (end_nanos - start_nanos) * 1e-6; }
 };
 
-#ifndef MUDB_OBS_DISABLED
-
-/// Turns span recording on/off process-wide. Off by default; benches turn
-/// it on under --trace=, tests toggle it around the region under test.
+/// Turns span recording on/off process-wide. Off by default; mudb-bench's
+/// traced pass turns it on, tests toggle it around the region under test.
 void EnableTracing();
 void DisableTracing();
 bool TracingEnabled();
@@ -136,52 +132,6 @@ class Span {
   std::vector<SpanRecord::Annotation> annotations_;
   bool recording_ = false;
 };
-
-/// Chrome trace_event JSON ("ph":"X" complete events; open the file at
-/// chrome://tracing or https://ui.perfetto.dev). Spans are grouped by
-/// trace_id into pids so one request reads as one process row.
-std::string ChromeTraceJson(const std::vector<SpanRecord>& spans);
-bool WriteChromeTrace(const std::string& path);
-
-#else  // MUDB_OBS_DISABLED: the whole API compiles to no-ops.
-
-inline void EnableTracing() {}
-inline void DisableTracing() {}
-inline bool TracingEnabled() { return false; }
-inline void ClearTraces() {}
-inline std::vector<SpanRecord> CollectSpans() { return {}; }
-inline std::vector<SpanRecord> CollectTrace(uint64_t) { return {}; }
-inline int64_t DroppedSpanCount() { return 0; }
-inline SpanContext CurrentContext() { return {}; }
-
-class ScopedContext {
- public:
-  explicit ScopedContext(const SpanContext&) {}
-};
-
-class Span {
- public:
-  explicit Span(const char*) {}
-  void Annotate(const char*, double) {}
-  void Annotate(const char*, const std::string&) {}
-  void Annotate(const char*, const char*) {}
-  SpanContext context() const { return {}; }
-  bool recording() const { return false; }
-};
-
-inline std::string ChromeTraceJson(const std::vector<SpanRecord>&) {
-  return "{\"traceEvents\": []}\n";
-}
-// Still honors --trace= in a disabled build: the file appears, empty, so
-// pipelines that expect it keep working.
-inline bool WriteChromeTrace(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  std::fputs("{\"traceEvents\": []}\n", f);
-  return std::fclose(f) == 0;
-}
-
-#endif  // MUDB_OBS_DISABLED
 
 }  // namespace mudb::obs
 

@@ -31,7 +31,7 @@
 // union-bounded. Note interval soundness bounds TRUE values: exact
 // agreement with a fixed-precision full batch (which ranks by noisy final-ε
 // estimates) additionally needs the workload's estimates to separate the
-// sets, as bench_ranking's deterministic wide-spread workload does.
+// sets, as ranking_test's deterministic wide-spread wedge battery does.
 //
 // Determinism contract: the returned ranking is a pure function of the
 // candidate list and options. Each tier is one MeasureService batch — bit-
@@ -81,9 +81,9 @@ struct RankingOptions {
 };
 
 /// The per-estimate δ every tier request runs at: per_estimate_delta when
-/// set, else δ / (N·kRankingMaxTiers). Exposed so benches and tests can
-/// construct fixed-precision baselines whose final-tier requests are
-/// bit-identical to the ranking's.
+/// set, else δ / (N·kRankingMaxTiers). Exposed so tests can construct
+/// fixed-precision baselines whose final-tier requests are bit-identical to
+/// the ranking's.
 double RankingTierDelta(const RankingOptions& options, size_t num_candidates);
 
 /// Per-candidate outcome, in input order.
@@ -109,7 +109,7 @@ struct RankingOutcome {
   /// (requests, cache hits, sampling steps, wall time).
   std::vector<BatchStats> tier_stats;
   /// Σ over tier_stats: the hit-and-run steps the adaptive schedule paid
-  /// (compare against fixed-precision full-batch ranking — bench_ranking).
+  /// (ranking_test holds it to half a fixed-precision full batch's).
   int64_t total_sampling_steps = 0;
   /// Flight-recorder handle: trace id of this ranking's span tree when
   /// tracing was enabled (obs::CollectTrace fetches it), 0 otherwise.

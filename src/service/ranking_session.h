@@ -7,7 +7,8 @@
 // tuple's certainty interval is exactly what it was. A RankingSession keeps
 // candidates across calls and exposes Rerank(RankingDelta) — inserts,
 // removals, and body mutations — so an update costs a small fraction of a
-// cold ranking (bench_rerank tracks the delta-vs-cold step ratio).
+// cold ranking (ranking_session_test holds one-candidate deltas to a
+// quarter of the cold ranking's sampling steps).
 //
 // How incrementality works — replay, don't patch. Every tier evaluation the
 // ladder performs is a pure function of its request signature
@@ -36,7 +37,7 @@
 // thread count, batch order, and the delta sequence that produced the
 // state. Corollary: they are bit-identical to a cold ranking of the same
 // final candidate set (a fresh session, or RankTopK when ids are dense) —
-// bench_rerank hard-asserts this across thread counts before reporting.
+// ranking_session_test asserts this at 1 and 8 threads.
 // Only the schedule accounting (tier_stats, warm_hits,
 // total_sampling_steps) depends on history: it reports what THIS call paid.
 //

@@ -49,7 +49,7 @@ const ZigguratTables& Ziggurat();
 /// auto-vectorize — so a draw on the hot path is a buffered load
 /// (~2 ns/draw). Every estimator draws millions of deviates through this
 /// engine, so the per-draw cost is a measurable slice of end-to-end
-/// sampling throughput (see BENCH_sampling.json).
+/// sampling throughput (bench_micro's BM_BatchedHitAndRun times it).
 class BufferedMt19937_64 {
  public:
   using result_type = uint64_t;
@@ -136,7 +136,8 @@ class Rng {
         return x;
       }
       double out;
-      if (GaussianSlow(idx, (u & 0x100) != 0, x, &out)) return out;  // tail / wedge
+      // Tail or wedge: the slow path.
+      if (GaussianSlow(idx, (u & 0x100) != 0, x, &out)) return out;
     }
   }
 

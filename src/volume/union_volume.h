@@ -98,8 +98,8 @@ struct UnionVolumeResult {
   /// estimate; 0 for bodies with empty interior).
   std::vector<double> body_volumes;
   /// Total hit-and-run steps actually taken by this call (annealing phases
-  /// + Karp–Luby walks; cache hits contribute nothing). The denominator of
-  /// the steps/sec throughput metric in bench JSON.
+  /// + Karp–Luby walks; cache hits contribute nothing). The numerator of
+  /// the steps/s throughput that mudb-bench and bench_micro report.
   int64_t steps = 0;
   /// Distinct bodies after canonical dedup.
   int unique_bodies = 0;

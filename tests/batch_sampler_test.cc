@@ -14,9 +14,9 @@
 
 #include "src/convex/batch_sampler.h"
 #include "src/convex/body.h"
-#include "src/convex/sampler.h"
 #include "src/geom/geometry.h"
 #include "src/util/rng.h"
+#include "tests/scalar_sampler.h"
 
 namespace mudb::convex {
 namespace {

@@ -6,9 +6,9 @@
 #include <gtest/gtest.h>
 
 #include "src/convex/body.h"
-#include "src/convex/sampler.h"
 #include "src/convex/volume.h"
 #include "src/geom/geometry.h"
+#include "tests/scalar_sampler.h"
 
 namespace mudb::convex {
 namespace {

@@ -308,8 +308,7 @@ TEST(DispatchTest, NumericNullCandidateValue) {
   // Candidates may carry numeric nulls (the permissive semantics of [28]):
   // q(y) = R(y) with R = {(⊤)} and candidate ⊤ itself is certain.
   Database db;
-  ASSERT_TRUE(
-      db.CreateRelation(RelationSchema("R", {{"x", Sort::kNum}})).ok());
+  ASSERT_TRUE(db.CreateRelation(RelationSchema("R", {{"x", Sort::kNum}})).ok());
   Value top = db.MakeNumNull();
   ASSERT_TRUE(db.Insert("R", {top}).ok());
   Formula f = Formula::Rel("R", {AtomArg::NumVar("y")});
@@ -329,8 +328,7 @@ TEST(DispatchTest, NumericNullCandidateValue) {
 TEST(DispatchTest, GroundAtomCapBoundsComputeMeasure) {
   // R(num) with one numeric null; q = ∃x R(x) ∧ x > 0  ⇒  μ = ν(z0 > 0).
   Database db;
-  ASSERT_TRUE(
-      db.CreateRelation(RelationSchema("R", {{"x", Sort::kNum}})).ok());
+  ASSERT_TRUE(db.CreateRelation(RelationSchema("R", {{"x", Sort::kNum}})).ok());
   ASSERT_TRUE(db.Insert("R", {db.MakeNumNull()}).ok());
   Formula f = Formula::Exists(TypedVar{"x", Sort::kNum}, Formula::And([] {
                                 std::vector<Formula> v;

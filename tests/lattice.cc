@@ -1,4 +1,4 @@
-#include "src/measure/lattice.h"
+#include "tests/lattice.h"
 
 #include <cmath>
 

@@ -4,12 +4,12 @@
 // integer lattice points: μ_Z(φ) = lim_r #{z ∈ Z^k : |z| ≤ r, φ(z)} /
 // #{z ∈ Z^k : |z| ≤ r}. The n-dimensional Gauss circle problem says the
 // number of lattice points in B_r^n approximates Vol(B_r^n) up to
-// o(Vol(B_r^n)), so the integer and real measures agree in the limit; this
-// module computes the finite-r ratios exactly (small dimensions) so the
-// convergence can be observed and tested.
+// o(Vol(B_r^n)), so the integer and real measures agree in the limit. These
+// helpers compute the finite-r ratios exactly (small dimensions), so
+// lattice_test can check the convergence against ν.
 
-#ifndef MUDB_SRC_MEASURE_LATTICE_H_
-#define MUDB_SRC_MEASURE_LATTICE_H_
+#ifndef MUDB_TESTS_LATTICE_H_
+#define MUDB_TESTS_LATTICE_H_
 
 #include <cstdint>
 #include <vector>
@@ -38,10 +38,10 @@ struct LatticeRatio {
 util::StatusOr<LatticeRatio> NuLatticeRatio(
     const constraints::RealFormula& formula, int radius);
 
-/// Ratios for a sweep of radii (convergence series; bench_lattice prints it).
+/// Ratios for a sweep of radii (the convergence series).
 util::StatusOr<std::vector<LatticeRatio>> LatticeSweep(
     const constraints::RealFormula& formula, const std::vector<int>& radii);
 
 }  // namespace mudb::measure
 
-#endif  // MUDB_SRC_MEASURE_LATTICE_H_
+#endif  // MUDB_TESTS_LATTICE_H_

@@ -4,8 +4,8 @@
 
 #include <gtest/gtest.h>
 
-#include "src/measure/lattice.h"
 #include "src/measure/nu_exact.h"
+#include "tests/lattice.h"
 
 namespace mudb::measure {
 namespace {

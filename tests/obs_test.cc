@@ -1,7 +1,8 @@
 // Tests for src/obs: span parentage within a thread, across the ThreadPool
 // seam (this suite runs under TSan in CI) and from a service batch to its
 // requests, the observability determinism contract (tracing on/off leaves
-// every result bit-identical), and fake-clock-driven durations.
+// every result bit-identical), the span-overhead budget (2% of an untraced
+// batch), and fake-clock-driven durations.
 
 #include <cstdint>
 #include <map>
@@ -202,6 +203,68 @@ TEST(ObsDeterminismTest, BatchOutcomeCarriesTraceIdOnlyWhenTracing) {
   bool has_batch = false;
   for (const SpanRecord& s : tree) has_batch |= s.name == "service.batch";
   EXPECT_TRUE(has_batch);
+}
+
+// ---- Overhead budget --------------------------------------------------------
+
+// A 64-request FPRAS batch over 16 distinct formulas, each repeated 4×.
+// Request d is (shared positive orthant) ∨ (private cone d), so every
+// request shares one canonical body with the whole batch.
+std::vector<service::MeasureRequest> SharedConeBatch() {
+  auto C = [](double c) { return Polynomial::Constant(c); };
+  measure::MeasureOptions opts;
+  opts.method = measure::Method::kFpras;
+  opts.epsilon = 0.35;
+  std::vector<service::MeasureRequest> reqs;
+  for (int r = 0; r < 64; ++r) {
+    const int d = r % 16;
+    std::vector<RealFormula> priv;
+    priv.push_back(RealFormula::Cmp(Z(0) + C(1.0 + d) * Z(1), CmpOp::kLt));
+    priv.push_back(RealFormula::Cmp(Z(1) + C(0.5 + d) * Z(2), CmpOp::kLt));
+    priv.push_back(RealFormula::Cmp(Z(2), CmpOp::kLt));
+    std::vector<RealFormula> ors;
+    ors.push_back(Orthant3D());
+    ors.push_back(RealFormula::And(std::move(priv)));
+    RealFormula f = RealFormula::Or(std::move(ors));
+    reqs.push_back(service::MeasureRequest::Nu(std::move(f), opts));
+  }
+  return reqs;
+}
+
+TEST(ObsOverheadTest, SpansCostUnderTwoPercentOfAnUntracedBatch) {
+  // Per-span cost with recording on, probed directly: construct, destroy
+  // and two annotations, the instrumentation's worst case. The bound is
+  // derived (per-span cost × spans a traced batch records), not a wall
+  // A/B of two batches, so host timing noise cannot flake it.
+  double per_span_ms = 0.0;
+  {
+    ScopedTracing tracing;
+    constexpr int kProbe = 50000;
+    util::WallTimer timer;
+    for (int i = 0; i < kProbe; ++i) {
+      Span span("obs_test.overhead_probe");
+      span.Annotate("a", 1.0);
+      span.Annotate("b", "x");
+    }
+    per_span_ms = timer.ElapsedMillis() / kProbe;
+  }
+
+  service::MeasureService untraced_svc;
+  auto untraced = untraced_svc.RunBatch(SharedConeBatch());
+  for (const auto& r : untraced.results) ASSERT_TRUE(r.ok()) << r.status();
+
+  size_t spans = 0;
+  {
+    ScopedTracing tracing;
+    service::MeasureService traced_svc;
+    auto traced = traced_svc.RunBatch(SharedConeBatch());
+    for (const auto& r : traced.results) ASSERT_TRUE(r.ok()) << r.status();
+    spans = CollectSpans().size();
+  }
+  ASSERT_GT(spans, 0u);
+  const double overhead_ms = per_span_ms * static_cast<double>(spans);
+  EXPECT_LE(overhead_ms, 0.02 * untraced.stats.wall_ms)
+      << spans << " spans at " << per_span_ms * 1e6 << " ns each";
 }
 
 // ---- Fake clock -------------------------------------------------------------

@@ -1,8 +1,8 @@
 // Tests for the adaptive-precision top-k ranking scheduler
 // (src/service/ranking_service.h): bit-identical outcomes across thread
 // counts and shuffled candidate orders, top-k agreement with fixed-precision
-// full-batch ranking, exact-engine freezing, pruning accounting, and option
-// validation.
+// full-batch ranking at half its sampling steps or fewer, exact-engine
+// freezing, pruning accounting, and option validation.
 
 #include <algorithm>
 #include <cmath>
@@ -192,11 +192,10 @@ TEST(RankingTest, TopKSetMatchesFixedPrecisionFullBatch) {
     EXPECT_EQ(adaptive->candidates[i].result.value, fixed_value[i]) << i;
   }
 
-  // The schedule refined strictly fewer steps than the full-precision
-  // batch paid (the 2× bar is bench_ranking's, on the 64-candidate
-  // workload).
-  EXPECT_LT(adaptive->total_sampling_steps,
-            fixed_outcome.stats.sampling_steps);
+  // The schedule paid at most half the steps of the full-precision batch.
+  // Step counts are deterministic, so the bar is exact.
+  EXPECT_GE(fixed_outcome.stats.sampling_steps,
+            2 * adaptive->total_sampling_steps);
 }
 
 TEST(RankingTest, PruningRefinesOnlySurvivors) {

@@ -15,9 +15,9 @@
 
 #include "src/convex/batch_sampler.h"
 #include "src/convex/body.h"
-#include "src/convex/sampler.h"
 #include "src/geom/geometry.h"
 #include "src/util/rng.h"
+#include "tests/scalar_sampler.h"
 
 // Global allocation counter for the no-allocation smoke. Routed through
 // malloc/free so sanitizer interposition keeps working underneath; noinline

@@ -1,4 +1,4 @@
-#include "src/convex/sampler.h"
+#include "tests/scalar_sampler.h"
 
 #include <algorithm>
 #include <cmath>

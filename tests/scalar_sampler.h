@@ -1,47 +1,34 @@
-// Hit-and-run: a Markov chain whose stationary distribution is uniform over a
-// convex body — the sampling oracle of the volume estimators. This is the
-// scalar reference kernel: the estimator chain grids themselves route
-// through the vectorized K-chain twin (convex/batch_sampler.h), whose lanes
-// must stay bit-identical to this sampler step for step; single chains and
-// the equivalence tests walk this one.
+// Scalar hit-and-run: a Markov chain whose stationary distribution is
+// uniform over a convex body, one chain at a time. It is the reference
+// oracle of the sampler suites: every lane of the batched K-chain kernel
+// (src/convex/batch_sampler.h), which all estimators walk, must stay
+// bit-identical to this sampler step for step.
 //
 // The step kernel is allocation-free and touches each constraint once. The
 // sampler maintains ax = A·x (one entry per halfspace) and ||x − c_k||² (one
 // per ball) incrementally: a step computes A·d fused with the chord interval,
 // the move is ax += t·(A·d) in O(m), and the post-step containment guard
 // compares the cached products against b instead of re-scanning the
-// constraint matrix. Caches are recomputed from scratch on a fixed step
-// schedule to keep incremental rounding drift below the containment
-// tolerances; the schedule depends only on the step count, so chains remain
-// a pure function of (body, start, rng stream) — the thread-count
-// bit-invariance contract of the estimators is unaffected.
+// constraint matrix. Caches are recomputed from scratch every
+// kSamplerRefreshInterval steps, the batched kernel's schedule, so a chain
+// is a pure function of (body, start, rng stream).
 
-#ifndef MUDB_SRC_CONVEX_SAMPLER_H_
-#define MUDB_SRC_CONVEX_SAMPLER_H_
+#ifndef MUDB_TESTS_SCALAR_SAMPLER_H_
+#define MUDB_TESTS_SCALAR_SAMPLER_H_
 
 #include <vector>
 
+#include "src/convex/batch_sampler.h"
 #include "src/convex/body.h"
 #include "src/geom/geometry.h"
 #include "src/util/rng.h"
 
 namespace mudb::convex {
 
-/// Exact-recompute cadence of the incremental caches, shared by the scalar
-/// sampler and the batched K-chain kernel. Per-step drift is a few ulps, so
-/// over an interval the accumulated error stays orders of magnitude below
-/// the 1e-12 containment tolerance, while the amortized cost of the O(m·n)
-/// refresh is negligible. The schedule depends only on each chain's own step
-/// count — part of the determinism contract (chains stay pure functions of
-/// (body, start, rng stream)) and of the batched kernel's lane ≡ scalar
-/// bit-identity.
-inline constexpr int kSamplerRefreshInterval = 1024;
-
 /// Hit-and-run sampler over a ConvexBody. The chain must start at an interior
 /// point (e.g. the center of an inner ball). The body must not gain
 /// constraints while a sampler walks on it (SetBallRadius between walks is
-/// fine: call set_current to resync, or construct samplers after the radius
-/// is set, as the annealing estimator does).
+/// fine: call set_current to resync).
 class HitAndRunSampler {
  public:
   /// `body` must outlive the sampler; `start` must lie inside the body.
@@ -77,4 +64,4 @@ class HitAndRunSampler {
 
 }  // namespace mudb::convex
 
-#endif  // MUDB_SRC_CONVEX_SAMPLER_H_
+#endif  // MUDB_TESTS_SCALAR_SAMPLER_H_

@@ -199,14 +199,10 @@ TEST(SqlParserTest, ErrorsCarryContext) {
   EXPECT_FALSE(ParseSqlQuery("SELECT FROM Products", db).ok());
   EXPECT_FALSE(ParseSqlQuery("SELECT P.id Products P", db).ok());
   EXPECT_FALSE(ParseSqlQuery("SELECT P.id FROM Nope P", db).ok());
-  EXPECT_FALSE(
-      ParseSqlQuery("SELECT P.nope FROM Products P", db).ok());
-  EXPECT_FALSE(
-      ParseSqlQuery("SELECT P.id FROM Products P WHERE", db).ok());
-  EXPECT_FALSE(
-      ParseSqlQuery("SELECT P.id FROM Products P LIMIT x", db).ok());
-  EXPECT_FALSE(
-      ParseSqlQuery("SELECT P.id FROM Products P trailing", db).ok());
+  EXPECT_FALSE(ParseSqlQuery("SELECT P.nope FROM Products P", db).ok());
+  EXPECT_FALSE(ParseSqlQuery("SELECT P.id FROM Products P WHERE", db).ok());
+  EXPECT_FALSE(ParseSqlQuery("SELECT P.id FROM Products P LIMIT x", db).ok());
+  EXPECT_FALSE(ParseSqlQuery("SELECT P.id FROM Products P trailing", db).ok());
   EXPECT_FALSE(ParseSqlQuery(
                    "SELECT P.id FROM Products P WHERE P.rrp < 'abc", db)
                    .ok());  // unterminated string

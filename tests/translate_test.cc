@@ -31,8 +31,7 @@ using model::Value;
 TEST(GroundTest, SingleNullPositivityQuery) {
   // R(num) with one tuple (⊤). q = ∃x R(x) && x > 0  ⇒  φ = z0 > 0.
   Database db;
-  ASSERT_TRUE(db.CreateRelation(RelationSchema("R", {{"x", Sort::kNum}}))
-                  .ok());
+  ASSERT_TRUE(db.CreateRelation(RelationSchema("R", {{"x", Sort::kNum}})).ok());
   Value top = db.MakeNumNull();
   ASSERT_TRUE(db.Insert("R", {top}).ok());
   Formula f = Formula::Exists(
@@ -81,8 +80,7 @@ TEST(GroundTest, NumericConstantCandidate) {
   // R(num) = {(5)}. q(y) = R(y). Candidate 5 certain, 6 false, ⊤ gives z = 5
   // (measure zero but satisfiable).
   Database db;
-  ASSERT_TRUE(db.CreateRelation(RelationSchema("R", {{"x", Sort::kNum}}))
-                  .ok());
+  ASSERT_TRUE(db.CreateRelation(RelationSchema("R", {{"x", Sort::kNum}})).ok());
   ASSERT_TRUE(db.Insert("R", {Value::NumConst(5)}).ok());
   Formula f = Formula::Rel("R", {AtomArg::NumVar("y")});
   auto q = Query::Make(f, db);
@@ -97,8 +95,7 @@ TEST(GroundTest, NumericConstantCandidate) {
 
 TEST(GroundTest, CandidateArityAndSortValidation) {
   Database db;
-  ASSERT_TRUE(db.CreateRelation(RelationSchema("R", {{"x", Sort::kNum}}))
-                  .ok());
+  ASSERT_TRUE(db.CreateRelation(RelationSchema("R", {{"x", Sort::kNum}})).ok());
   ASSERT_TRUE(db.Insert("R", {Value::NumConst(1)}).ok());
   Formula f = Formula::Rel("R", {AtomArg::NumVar("y")});
   auto q = Query::Make(f, db);

@@ -44,8 +44,8 @@ Rules (see BUILDING.md "Static analysis" for the policy):
                       loop is order-insensitive.
   obs-purity          util::Rng use (or rng.h / parallel.h includes) inside
                       src/obs/. The observability layer must not draw RNG
-                      or feed work grids: tracing on/off/compiled-out
-                      leaves every estimate bit-identical.
+                      or feed work grids: tracing on or off leaves every
+                      estimate bit-identical.
 
 Suppression: only via an inline pragma
 
