@@ -22,7 +22,8 @@ BatchedHitAndRunSampler::BatchedHitAndRunSampler(const ConvexBody* body,
                                                  int lanes)
     : body_(body), lanes_(lanes) {
   MUDB_CHECK(body_ != nullptr);
-  MUDB_CHECK(lanes_ >= 1);
+  // Per-walker step scratch lives on the stack, sized kBatchMaxLanes.
+  MUDB_CHECK(lanes_ >= 1 && lanes_ <= kBatchMaxLanes);
   const size_t k_lanes = static_cast<size_t>(lanes_);
   x_.assign(k_lanes * body_->dim(), 0.0);
   d_.assign(k_lanes * body_->dim(), 0.0);
@@ -30,16 +31,8 @@ BatchedHitAndRunSampler::BatchedHitAndRunSampler(const ConvexBody* body,
   ad_.assign(k_lanes * body_->num_halfspaces(), 0.0);
   ball_bq_.assign(k_lanes * body_->num_balls(), 0.0);
   ball_dist2_.assign(k_lanes * body_->num_balls(), 0.0);
-  lo_.resize(k_lanes);
-  hi_.resize(k_lanes);
-  t_.resize(k_lanes);
-  alive_.assign(k_lanes, 0);
-  bad_.assign(k_lanes, 0);
   initialized_.assign(k_lanes, 0);
   steps_since_refresh_.assign(k_lanes, 0);
-  rng_ptrs_.resize(k_lanes);
-  dense_lanes_.resize(k_lanes);
-  for (int l = 0; l < lanes_; ++l) dense_lanes_[l] = l;
 }
 
 void BatchedHitAndRunSampler::ResetLane(int lane, const geom::Vec& start) {
@@ -94,17 +87,33 @@ void BatchedHitAndRunSampler::RefreshLane(int lane) {
   steps_since_refresh_[lane] = 0;
 }
 
-// Dense lockstep walk with a compile-time lane count. Same per-lane
-// floating-point sequence as one scalar hit-and-run step (same operations,
+// The one lockstep step body. Per lane it performs exactly the
+// floating-point sequence of one scalar hit-and-run step (same operations,
 // same order, same tolerances — the bit-identity contract the tests check
-// against tests/scalar_sampler.h), but structured as K-wide panel
-// operations: the lane loops have constant trip count K so they unroll
-// completely, the per-row A·d and (x−c)·d dot products accumulate in K
-// registers, and the post-draw move is fused with the containment guard
-// into a single pass over the cached products. The step loop lives inside
-// this function so panel pointers are hoisted once.
+// against tests/scalar_sampler.h), structured as panel operations over the
+// walking lanes. K > 0 is the dense panel: lanes 0..K-1 of a K-lane
+// sampler, so every lane loop has constant trip count K and unrolls
+// completely, and the per-row A·d and (x−c)·d dot products accumulate in K
+// registers. K = 0 runs the same statements over `count` listed lanes of a
+// lanes_-wide panel (the Karp–Luby loop's pattern, and every lane count
+// without a dense specialization). Per-walker scratch is indexed by list
+// position and lives on the stack; the post-draw move is fused with the
+// containment guard into a single pass over the cached products. The step
+// loop lives inside this function so panel pointers are hoisted once.
 template <int K>
-void BatchedHitAndRunSampler::WalkDense(int steps, util::Rng* const* rngs) {
+void BatchedHitAndRunSampler::Walk(int steps, const int* lane_list, int count,
+                                   util::Rng* const* rngs) {
+  constexpr int kScratch = K > 0 ? K : kBatchMaxLanes;
+  const int width = K > 0 ? K : count;
+  const int stride = K > 0 ? K : lanes_;
+  // Panel column of the i-th walking lane.
+  auto lane = [&](int i) {
+    if constexpr (K > 0) {
+      return i;
+    } else {
+      return lane_list[i];
+    }
+  };
   const int n = body_->dim();
   const int m = body_->num_halfspaces();
   const int k = body_->num_balls();
@@ -119,73 +128,73 @@ void BatchedHitAndRunSampler::WalkDense(int steps, util::Rng* const* rngs) {
   double* __restrict bq = ball_bq_.data();
   double* __restrict dist2 = ball_dist2_.data();
   const double kInf = std::numeric_limits<double>::infinity();
-  double lo[K], hi[K], t[K];
+  double lo[kScratch] = {}, hi[kScratch] = {}, t[kScratch] = {};
   // 64-bit lane masks: a uint8_t mask mixes 1- and 8-byte elements in the
   // K-wide chord loops, which the vectorizer rejects without AVX-512BW;
   // word-sized masks keep every lane loop a uniform 8-byte-element block.
-  uint64_t alive[K], bad[K];
+  uint64_t alive[kScratch] = {}, bad[kScratch] = {};
 
   for (int step = 0; step < steps; ++step) {
     // Directions: per lane, the exact SampleUnitSphere sequence (n
     // Gaussians, norm accumulated in draw order, zero-norm redraw, scale by
     // 1/norm). The draws are inherently lane-serial (each lane's own
     // engine), but the normalization is not: the sqrt, reciprocal, and
-    // scale run K lanes wide, instead of paying each lane the full
+    // scale run across the lanes, instead of paying each lane the full
     // sqrt+divide latency chain back to back.
-    double nrm[K];
-    for (int l = 0; l < K; ++l) {
-      nrm[l] = rngs[l]->GaussianFillSq(n, d + l, K);
+    double nrm[kScratch] = {};
+    for (int i = 0; i < width; ++i) {
+      nrm[i] = rngs[i]->GaussianFillSq(n, d + lane(i), stride);
     }
-    for (int l = 0; l < K; ++l) nrm[l] = std::sqrt(nrm[l]);
-    for (int l = 0; l < K; ++l) {
+    for (int i = 0; i < width; ++i) nrm[i] = std::sqrt(nrm[i]);
+    for (int i = 0; i < width; ++i) {
       // Cold path: an exactly-zero draw redraws this lane, as the scalar
       // do-while does (same per-engine draw order).
-      while (nrm[l] == 0.0) {
-        nrm[l] = std::sqrt(rngs[l]->GaussianFillSq(n, d + l, K));
+      while (nrm[i] == 0.0) {
+        nrm[i] = std::sqrt(rngs[i]->GaussianFillSq(n, d + lane(i), stride));
       }
     }
-    double inv[K];
-    for (int l = 0; l < K; ++l) inv[l] = 1.0 / nrm[l];
+    double inv[kScratch] = {};
+    for (int i = 0; i < width; ++i) inv[i] = 1.0 / nrm[i];
     for (int j = 0; j < n; ++j) {
-      double* __restrict dj = d + j * K;
-      for (int l = 0; l < K; ++l) dj[l] *= inv[l];
+      double* __restrict dj = d + j * stride;
+      for (int i = 0; i < width; ++i) dj[lane(i)] *= inv[i];
     }
-    for (int l = 0; l < K; ++l) {
-      lo[l] = -kInf;
-      hi[l] = kInf;
-      alive[l] = 1;
+    for (int i = 0; i < width; ++i) {
+      lo[i] = -kInf;
+      hi[i] = kInf;
+      alive[i] = 1;
     }
 
     // Halfspace panel: A·D fused with the chord interval, row by row. Each
     // lane's dot product accumulates in the scalar kernel's j order, in a
     // register, while the row entry a[i][j] is loaded once for all lanes.
-    for (int i = 0; i < m; ++i) {
-      const double* __restrict row = a + i * n;
-      double acc[K];
-      for (int l = 0; l < K; ++l) acc[l] = 0.0;
+    for (int row_i = 0; row_i < m; ++row_i) {
+      const double* __restrict row = a + row_i * n;
+      double acc[kScratch] = {};
       for (int j = 0; j < n; ++j) {
         const double aij = row[j];
-        const double* __restrict dj = d + j * K;
-        for (int l = 0; l < K; ++l) acc[l] += aij * dj[l];
+        const double* __restrict dj = d + j * stride;
+        for (int i = 0; i < width; ++i) acc[i] += aij * dj[lane(i)];
       }
-      double* __restrict ad_row = ad + i * K;
-      const double* __restrict ax_row = ax + i * K;
-      const double bi = b[i];
+      double* __restrict ad_row = ad + row_i * stride;
+      const double* __restrict ax_row = ax + row_i * stride;
+      const double bi = b[row_i];
       // Spill the accumulators before the chord update: the unrolled
       // accumulation promotes acc[] to SSA registers, which the loop
       // vectorizer cannot type — reloading from the panel row keeps the
       // chord loop one K-wide vector block.
-      for (int l = 0; l < K; ++l) ad_row[l] = acc[l];
-      for (int l = 0; l < K; ++l) {
-        const double adv = ad_row[l];
+      for (int i = 0; i < width; ++i) ad_row[lane(i)] = acc[i];
+      for (int i = 0; i < width; ++i) {
+        const double adv = ad_row[lane(i)];
+        const double axv = ax_row[lane(i)];
         const bool grazing = std::fabs(adv) < 1e-14;
         // Guarded denominator keeps the lockstep divide well-defined on
         // grazing lanes; the quotient is only consumed when !grazing, where
         // it is exactly the scalar (b − ax)/ad.
-        const double ti = (bi - ax_row[l]) / (grazing ? 1.0 : adv);
-        hi[l] = (!grazing && adv > 0) ? std::min(hi[l], ti) : hi[l];
-        lo[l] = (!grazing && adv < 0) ? std::max(lo[l], ti) : lo[l];
-        alive[l] = (grazing && ax_row[l] > bi + 1e-9) ? uint64_t{0} : alive[l];
+        const double ti = (bi - axv) / (grazing ? 1.0 : adv);
+        hi[i] = (!grazing && adv > 0) ? std::min(hi[i], ti) : hi[i];
+        lo[i] = (!grazing && adv < 0) ? std::max(lo[i], ti) : lo[i];
+        alive[i] = (grazing && axv > bi + 1e-9) ? uint64_t{0} : alive[i];
       }
     }
 
@@ -195,36 +204,37 @@ void BatchedHitAndRunSampler::WalkDense(int steps, util::Rng* const* rngs) {
     // operand keeps dead-lane arithmetic defined.
     for (int kk = 0; kk < k; ++kk) {
       const double* __restrict c = centers + kk * n;
-      double acc[K];
-      for (int l = 0; l < K; ++l) acc[l] = 0.0;
+      double acc[kScratch] = {};
       for (int j = 0; j < n; ++j) {
         const double cj = c[j];
-        const double* __restrict xj = x + j * K;
-        const double* __restrict dj = d + j * K;
-        for (int l = 0; l < K; ++l) acc[l] += (xj[l] - cj) * dj[l];
+        const double* __restrict xj = x + j * stride;
+        const double* __restrict dj = d + j * stride;
+        for (int i = 0; i < width; ++i) {
+          acc[i] += (xj[lane(i)] - cj) * dj[lane(i)];
+        }
       }
-      double* __restrict bq_row = bq + kk * K;
-      const double* __restrict d2_row = dist2 + kk * K;
+      double* __restrict bq_row = bq + kk * stride;
+      const double* __restrict d2_row = dist2 + kk * stride;
       const double rr = r2[kk];
-      for (int l = 0; l < K; ++l) bq_row[l] = acc[l];
-      for (int l = 0; l < K; ++l) {
-        const double bqv = bq_row[l];
-        const double disc = bqv * bqv - (d2_row[l] - rr);
-        alive[l] = (disc <= 0) ? uint64_t{0} : alive[l];
+      for (int i = 0; i < width; ++i) bq_row[lane(i)] = acc[i];
+      for (int i = 0; i < width; ++i) {
+        const double bqv = bq_row[lane(i)];
+        const double disc = bqv * bqv - (d2_row[lane(i)] - rr);
+        alive[i] = (disc <= 0) ? uint64_t{0} : alive[i];
         const double sq = std::sqrt(disc > 0 ? disc : 0.0);
-        lo[l] = std::max(lo[l], -bqv - sq);
-        hi[l] = std::min(hi[l], -bqv + sq);
+        lo[i] = std::max(lo[i], -bqv - sq);
+        hi[i] = std::min(hi[i], -bqv + sq);
       }
     }
 
     // Chord validity, then one uniform draw per surviving lane. Dead lanes
     // draw nothing (their rng streams stay in lockstep with the scalar
     // sampler's early returns) and move by exactly t = 0.
-    for (int l = 0; l < K; ++l) {
-      if (!(lo[l] < hi[l]) || !std::isfinite(lo[l]) || !std::isfinite(hi[l])) {
-        alive[l] = 0;
+    for (int i = 0; i < width; ++i) {
+      if (!(lo[i] < hi[i]) || !std::isfinite(lo[i]) || !std::isfinite(hi[i])) {
+        alive[i] = 0;
       }
-      t[l] = alive[l] ? rngs[l]->Uniform(lo[l], hi[l]) : 0.0;
+      t[i] = alive[i] ? rngs[i]->Uniform(lo[i], hi[i]) : 0.0;
     }
 
     // Move panels fused with the containment guard: x += t·d, then the
@@ -234,40 +244,44 @@ void BatchedHitAndRunSampler::WalkDense(int steps, util::Rng* const* rngs) {
     // differs, which no floating-point result depends on). A dead lane's
     // t = 0 makes every update an exact no-op.
     for (int j = 0; j < n; ++j) {
-      double* __restrict xj = x + j * K;
-      const double* __restrict dj = d + j * K;
-      for (int l = 0; l < K; ++l) xj[l] += t[l] * dj[l];
+      double* __restrict xj = x + j * stride;
+      const double* __restrict dj = d + j * stride;
+      for (int i = 0; i < width; ++i) xj[lane(i)] += t[i] * dj[lane(i)];
     }
-    for (int l = 0; l < K; ++l) bad[l] = 0;
-    for (int i = 0; i < m; ++i) {
-      double* __restrict ax_row = ax + i * K;
-      const double* __restrict ad_row = ad + i * K;
-      const double bi = b[i] + 1e-12;
-      for (int l = 0; l < K; ++l) {
-        const double v = ax_row[l] + t[l] * ad_row[l];
-        ax_row[l] = v;
-        bad[l] |= static_cast<uint64_t>(v > bi);
+    for (int i = 0; i < width; ++i) bad[i] = 0;
+    for (int row_i = 0; row_i < m; ++row_i) {
+      double* __restrict ax_row = ax + row_i * stride;
+      const double* __restrict ad_row = ad + row_i * stride;
+      const double bi = b[row_i] + 1e-12;
+      for (int i = 0; i < width; ++i) {
+        const double v = ax_row[lane(i)] + t[i] * ad_row[lane(i)];
+        ax_row[lane(i)] = v;
+        bad[i] |= static_cast<uint64_t>(v > bi);
       }
     }
     // ||x + t·d − c||² = ||x − c||² + t·(2·(x−c)·d + t) for unit d.
     for (int kk = 0; kk < k; ++kk) {
-      double* __restrict d2_row = dist2 + kk * K;
-      const double* __restrict bq_row = bq + kk * K;
+      double* __restrict d2_row = dist2 + kk * stride;
+      const double* __restrict bq_row = bq + kk * stride;
       const double rr = r2[kk] + 1e-12;
-      for (int l = 0; l < K; ++l) {
-        const double v = d2_row[l] + t[l] * (2.0 * bq_row[l] + t[l]);
-        d2_row[l] = v;
-        bad[l] |= static_cast<uint64_t>(v > rr);
+      for (int i = 0; i < width; ++i) {
+        const double v =
+            d2_row[lane(i)] + t[i] * (2.0 * bq_row[lane(i)] + t[i]);
+        d2_row[lane(i)] = v;
+        bad[i] |= static_cast<uint64_t>(v > rr);
       }
     }
-    for (int l = 0; l < K; ++l) {
-      if (!alive[l]) continue;  // the scalar path returns before its guard
-      if (bad[l]) {
+    for (int i = 0; i < width; ++i) {
+      if (!alive[i]) continue;  // the scalar path returns before its guard
+      const int l = lane(i);
+      if (bad[i]) {
         // Rounding pushed the point marginally outside: pull back to the
         // chord midpoint, which is interior, and resync the lane exactly
         // (cold path, same as the scalar sampler).
-        const double back = 0.5 * (lo[l] + hi[l]) - t[l];
-        for (int j = 0; j < n; ++j) x[j * K + l] += back * d[j * K + l];
+        const double back = 0.5 * (lo[i] + hi[i]) - t[i];
+        for (int j = 0; j < n; ++j) {
+          x[j * stride + l] += back * d[j * stride + l];
+        }
         RefreshLane(l);
         continue;
       }
@@ -276,186 +290,10 @@ void BatchedHitAndRunSampler::WalkDense(int steps, util::Rng* const* rngs) {
   }
 }
 
-// One lockstep step over an arbitrary listed lane subset (the Karp–Luby
-// loop's access pattern). Identical per-lane floating-point sequence to
-// WalkDense — both are verbatim transcriptions of the scalar Step — with
-// lanes addressed indirectly through lane_list.
-void BatchedHitAndRunSampler::StepSubset(const int* lane_list, int count,
-                                         util::Rng* const* rngs) {
-  const int n = body_->dim();
-  const int m = body_->num_halfspaces();
-  const int k = body_->num_balls();
-  const size_t stride = static_cast<size_t>(lanes_);
-  const double* __restrict a = body_->halfspace_matrix();
-  const double* __restrict b = body_->offsets();
-  const double* __restrict centers = body_->ball_centers();
-  const double* __restrict r2 = body_->ball_radius2();
-  double* __restrict x = x_.data();
-  double* __restrict d = d_.data();
-  double* __restrict ax = ax_.data();
-  double* __restrict ad = ad_.data();
-  double* __restrict bq = ball_bq_.data();
-  double* __restrict dist2 = ball_dist2_.data();
-  double* __restrict lo = lo_.data();
-  double* __restrict hi = hi_.data();
-  double* __restrict t = t_.data();
-  uint8_t* __restrict alive = alive_.data();
-  const double kInf = std::numeric_limits<double>::infinity();
-
-  // Directions: per lane, the exact SampleUnitSphere sequence (n Gaussians,
-  // norm accumulated in index order, zero-norm redraw, scale by 1/norm),
-  // each lane drawing from its own engine straight into its panel column.
-  for (int idx = 0; idx < count; ++idx) {
-    const int l = lane_list[idx];
-    util::Rng& rng = *rngs[idx];
-    double norm;
-    do {
-      rng.GaussianFill(n, d + l, lanes_);
-      double s = 0.0;
-      for (int j = 0; j < n; ++j) {
-        const double v = d[static_cast<size_t>(j) * stride + l];
-        s += v * v;
-      }
-      norm = std::sqrt(s);
-    } while (norm == 0.0);
-    const double inv = 1.0 / norm;
-    for (int j = 0; j < n; ++j) d[static_cast<size_t>(j) * stride + l] *= inv;
-    lo[l] = -kInf;
-    hi[l] = kInf;
-    alive[l] = 1;
-  }
-
-  // Halfspace rows: A·d fused with the chord interval, each listed lane
-  // accumulating its dot product in the scalar kernel's j order.
-  for (int i = 0; i < m; ++i) {
-    const double* __restrict row = a + static_cast<size_t>(i) * n;
-    double* __restrict ad_row = ad + static_cast<size_t>(i) * stride;
-    for (int idx = 0; idx < count; ++idx) ad_row[lane_list[idx]] = 0.0;
-    for (int j = 0; j < n; ++j) {
-      const double aij = row[j];
-      const double* __restrict dj = d + static_cast<size_t>(j) * stride;
-      for (int idx = 0; idx < count; ++idx) {
-        const int l = lane_list[idx];
-        ad_row[l] += aij * dj[l];
-      }
-    }
-    const double bi = b[i];
-    const double* __restrict ax_row = ax + static_cast<size_t>(i) * stride;
-    for (int idx = 0; idx < count; ++idx) {
-      const int l = lane_list[idx];
-      const double adv = ad_row[l];
-      const bool grazing = std::fabs(adv) < 1e-14;
-      // Guarded denominator keeps the lockstep divide well-defined on
-      // grazing lanes; the quotient is only consumed when !grazing, where it
-      // is exactly the scalar (b − ax)/ad.
-      const double ti = (bi - ax_row[l]) / (grazing ? 1.0 : adv);
-      if (!grazing && adv > 0) hi[l] = std::min(hi[l], ti);
-      if (!grazing && adv < 0) lo[l] = std::max(lo[l], ti);
-      if (grazing && ax_row[l] > bi + 1e-9) alive[l] = 0;  // outside; no chord
-    }
-  }
-
-  // Balls: (x−c)·d per lane, then the quadratic chord cut against the
-  // cached ||x−c||². A non-positive discriminant kills the lane for this
-  // step (line misses or grazes the ball), exactly like the scalar early
-  // return; the guarded sqrt operand keeps dead-lane arithmetic defined.
-  for (int kk = 0; kk < k; ++kk) {
-    const double* __restrict c = centers + static_cast<size_t>(kk) * n;
-    double* __restrict bq_row = bq + static_cast<size_t>(kk) * stride;
-    for (int idx = 0; idx < count; ++idx) bq_row[lane_list[idx]] = 0.0;
-    for (int j = 0; j < n; ++j) {
-      const double cj = c[j];
-      const double* __restrict xj = x + static_cast<size_t>(j) * stride;
-      const double* __restrict dj = d + static_cast<size_t>(j) * stride;
-      for (int idx = 0; idx < count; ++idx) {
-        const int l = lane_list[idx];
-        bq_row[l] += (xj[l] - cj) * dj[l];
-      }
-    }
-    const double rr = r2[kk];
-    const double* __restrict d2_row = dist2 + static_cast<size_t>(kk) * stride;
-    for (int idx = 0; idx < count; ++idx) {
-      const int l = lane_list[idx];
-      const double bqv = bq_row[l];
-      const double disc = bqv * bqv - (d2_row[l] - rr);
-      if (disc <= 0) alive[l] = 0;
-      const double sq = std::sqrt(disc > 0 ? disc : 0.0);
-      lo[l] = std::max(lo[l], -bqv - sq);
-      hi[l] = std::min(hi[l], -bqv + sq);
-    }
-  }
-
-  // Chord validity, then one uniform draw per surviving lane. Dead lanes
-  // draw nothing (their rng streams stay in lockstep with the scalar
-  // sampler's early returns) and move by exactly t = 0.
-  for (int idx = 0; idx < count; ++idx) {
-    const int l = lane_list[idx];
-    if (!(lo[l] < hi[l]) || !std::isfinite(lo[l]) || !std::isfinite(hi[l])) {
-      alive[l] = 0;
-    }
-    t[l] = alive[l] ? rngs[idx]->Uniform(lo[l], hi[l]) : 0.0;
-  }
-
-  // Move fused with the containment guard: x += t·d, then the O(m + k)
-  // incremental cache update computes each updated product and compares it
-  // against its tolerance in the same pass. A dead lane's t = 0 makes every
-  // update an exact no-op, so its state stays value-identical to the scalar
-  // sampler's untouched state.
-  for (int j = 0; j < n; ++j) {
-    double* __restrict xj = x + static_cast<size_t>(j) * stride;
-    const double* __restrict dj = d + static_cast<size_t>(j) * stride;
-    for (int idx = 0; idx < count; ++idx) {
-      const int l = lane_list[idx];
-      xj[l] += t[l] * dj[l];
-    }
-  }
-  uint8_t* __restrict bad = bad_.data();
-  for (int idx = 0; idx < count; ++idx) bad[lane_list[idx]] = 0;
-  for (int i = 0; i < m; ++i) {
-    double* __restrict ax_row = ax + static_cast<size_t>(i) * stride;
-    const double* __restrict ad_row = ad + static_cast<size_t>(i) * stride;
-    const double bi = b[i] + 1e-12;
-    for (int idx = 0; idx < count; ++idx) {
-      const int l = lane_list[idx];
-      const double v = ax_row[l] + t[l] * ad_row[l];
-      ax_row[l] = v;
-      bad[l] |= static_cast<uint8_t>(v > bi);
-    }
-  }
-  // ||x + t·d − c||² = ||x − c||² + t·(2·(x−c)·d + t) for unit d.
-  for (int kk = 0; kk < k; ++kk) {
-    double* __restrict d2_row = dist2 + static_cast<size_t>(kk) * stride;
-    const double* __restrict bq_row = bq + static_cast<size_t>(kk) * stride;
-    const double rr = r2[kk] + 1e-12;
-    for (int idx = 0; idx < count; ++idx) {
-      const int l = lane_list[idx];
-      const double v = d2_row[l] + t[l] * (2.0 * bq_row[l] + t[l]);
-      d2_row[l] = v;
-      bad[l] |= static_cast<uint8_t>(v > rr);
-    }
-  }
-  for (int idx = 0; idx < count; ++idx) {
-    const int l = lane_list[idx];
-    if (!alive[l]) continue;  // the scalar path returns before its guard
-    if (bad[l]) {
-      // Rounding pushed the point marginally outside: pull back to the
-      // chord midpoint, which is interior, and resync the lane exactly
-      // (cold path, same as the scalar sampler).
-      const double back = 0.5 * (lo[l] + hi[l]) - t[l];
-      for (int j = 0; j < n; ++j) {
-        x[static_cast<size_t>(j) * stride + l] +=
-            back * d[static_cast<size_t>(j) * stride + l];
-      }
-      RefreshLane(l);
-      continue;
-    }
-    if (++steps_since_refresh_[l] >= kSamplerRefreshInterval) RefreshLane(l);
-  }
-}
-
 void BatchedHitAndRunSampler::WalkLanes(int steps, const int* lane_list,
                                         int count, util::Rng* const* rngs) {
   if (count <= 0 || steps <= 0) return;
+  MUDB_DCHECK(count <= lanes_);
   bool dense = count == lanes_;
   for (int idx = 0; dense && idx < count; ++idx) dense = lane_list[idx] == idx;
   for (int idx = 0; idx < count; ++idx) {
@@ -464,20 +302,25 @@ void BatchedHitAndRunSampler::WalkLanes(int steps, const int* lane_list,
   }
   if (dense) {
     switch (lanes_) {
-      case 1: WalkDense<1>(steps, rngs); return;
-      case 2: WalkDense<2>(steps, rngs); return;
-      case 4: WalkDense<4>(steps, rngs); return;
-      case 8: WalkDense<8>(steps, rngs); return;
-      case 16: WalkDense<16>(steps, rngs); return;
-      default: break;  // uncommon lane count: generic path below
+      case 1: Walk<1>(steps, lane_list, count, rngs); return;
+      case 2: Walk<2>(steps, lane_list, count, rngs); return;
+      case 4: Walk<4>(steps, lane_list, count, rngs); return;
+      case 8: Walk<8>(steps, lane_list, count, rngs); return;
+      case 16: Walk<16>(steps, lane_list, count, rngs); return;
+      default: break;  // no dense specialization: walk the list
     }
   }
-  for (int s = 0; s < steps; ++s) StepSubset(lane_list, count, rngs);
+  Walk<0>(steps, lane_list, count, rngs);
 }
 
 void BatchedHitAndRunSampler::WalkAll(int steps, util::Rng* rngs) {
-  for (int l = 0; l < lanes_; ++l) rng_ptrs_[l] = &rngs[l];
-  WalkLanes(steps, dense_lanes_.data(), lanes_, rng_ptrs_.data());
+  int lane_list[kBatchMaxLanes] = {};
+  util::Rng* rng_ptrs[kBatchMaxLanes] = {};
+  for (int l = 0; l < lanes_; ++l) {
+    lane_list[l] = l;
+    rng_ptrs[l] = &rngs[l];
+  }
+  WalkLanes(steps, lane_list, lanes_, rng_ptrs);
 }
 
 }  // namespace mudb::convex

@@ -18,8 +18,8 @@
 // convex/volume.cc and the Karp–Luby loop of volume/union_volume.cc — route
 // through this kernel via PartitionChainGrid without perturbing any
 // estimate. `sampler_kernel_test` / `batch_sampler_test` prove lane ≡
-// scalar at every dense-specialized K ∈ {1, 2, 4, 8, 16} against the
-// scalar reference sampler in tests/scalar_sampler.h.
+// scalar at every dense-specialized K ∈ {1, 2, 4, 8, 16} and on listed lane
+// subsets against the scalar reference sampler in tests/scalar_sampler.h.
 
 #ifndef MUDB_SRC_CONVEX_BATCH_SAMPLER_H_
 #define MUDB_SRC_CONVEX_BATCH_SAMPLER_H_
@@ -41,8 +41,10 @@ namespace mudb::convex {
 /// (chains stay pure functions of (body, start, rng stream)).
 inline constexpr int kSamplerRefreshInterval = 1024;
 
-/// Widest dense lane count the kernel specializes (WalkDense<16> is the
-/// 512-bit sweet spot on AVX-512 hosts; wider panels spill registers).
+/// Most lanes one sampler holds, and the widest dense panel the step body
+/// specializes (Walk<16> is the 512-bit sweet spot on AVX-512 hosts; wider
+/// panels spill registers). Per-walker step scratch is a stack array of
+/// this size.
 inline constexpr int kBatchMaxLanes = 16;
 
 /// One contiguous slice of a chain grid: chains [first, first + width).
@@ -53,8 +55,8 @@ struct ChainGroup {
 
 /// Slices the chain grid [0, chains) into contiguous groups whose widths are
 /// the greedy power-of-two decomposition capped at kBatchMaxLanes (e.g. 7
-/// chains → widths 4, 2, 1), so every group hits a dense WalkDense<K>
-/// dispatch when all its lanes walk together. A pure function of `chains`:
+/// chains → widths 4, 2, 1), so every group hits a dense Walk<K> dispatch
+/// when all its lanes walk together. A pure function of `chains`:
 /// estimator grids built on it — and the estimates reduced over them — are
 /// independent of thread count, like the chunk grids they partition.
 std::vector<ChainGroup> PartitionChainGrid(int chains);
@@ -67,8 +69,9 @@ std::vector<ChainGroup> PartitionChainGrid(int chains);
 /// resyncs).
 class BatchedHitAndRunSampler {
  public:
-  /// A kernel with `lanes` chain slots, all uninitialized. ResetLane each
-  /// slot (at an interior point) before walking it.
+  /// A kernel with `lanes` ∈ [1, kBatchMaxLanes] chain slots, all
+  /// uninitialized. ResetLane each slot (at an interior point) before
+  /// walking it.
   BatchedHitAndRunSampler(const ConvexBody* body, int lanes);
 
   int lanes() const { return lanes_; }
@@ -88,9 +91,9 @@ class BatchedHitAndRunSampler {
   /// Lockstep walk: every listed lane takes `steps` steps, the idx-th listed
   /// lane drawing from rngs[idx]. Lanes must be initialized and listed at
   /// most once; unlisted lanes are untouched (no state, no rng). The dense
-  /// case (lane_list = 0..lanes-1 in order) dispatches to the vectorized
-  /// panel kernel; sparse subsets take an indexed path with identical
-  /// per-lane arithmetic.
+  /// case (lane_list = 0..lanes-1 in order, lanes ∈ {1, 2, 4, 8, 16}) runs
+  /// the step body on the unrolled K-wide panel; any other list runs the
+  /// same body over the listed lanes.
   void WalkLanes(int steps, const int* lane_list, int count,
                  util::Rng* const* rngs);
 
@@ -99,14 +102,12 @@ class BatchedHitAndRunSampler {
   void WalkAll(int steps, util::Rng* rngs);
 
  private:
-  /// Dense lockstep walk specialized on a compile-time lane count: the inner
-  /// lane loops fully unroll into K-wide panel operations with register
-  /// accumulators (the vectorized fast path, dispatched for K ∈ {1,2,4,8,16}).
+  /// The one step body, `steps` lockstep steps. K ∈ {1, 2, 4, 8, 16} walks
+  /// the dense K-lane panel with compile-time lane loops that unroll into
+  /// K-wide panel operations; K = 0 walks the `count` listed lanes.
   template <int K>
-  void WalkDense(int steps, util::Rng* const* rngs);
-  /// Generic indexed step for lane subsets (and dense lane counts outside
-  /// the specialized set): identical per-lane arithmetic, indirect lanes.
-  void StepSubset(const int* lane_list, int count, util::Rng* const* rngs);
+  void Walk(int steps, const int* lane_list, int count,
+            util::Rng* const* rngs);
   /// Exact recompute of one lane's cached products (one panel column).
   void RefreshLane(int lane);
 
@@ -119,16 +120,8 @@ class BatchedHitAndRunSampler {
   std::vector<double> ad_;          // m×K per-step A·d
   std::vector<double> ball_bq_;     // k×K per-step (x−c)·d
   std::vector<double> ball_dist2_;  // k×K cached ||x−c||²
-  // Per-lane step scratch.
-  std::vector<double> lo_;
-  std::vector<double> hi_;
-  std::vector<double> t_;
-  std::vector<uint8_t> alive_;  // this step still has a valid chord
-  std::vector<uint8_t> bad_;    // post-move guard: outside by > tolerance
   std::vector<uint8_t> initialized_;
   std::vector<int> steps_since_refresh_;
-  std::vector<util::Rng*> rng_ptrs_;  // WalkAll scratch
-  std::vector<int> dense_lanes_;      // identity lane list
 };
 
 }  // namespace mudb::convex

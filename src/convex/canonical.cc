@@ -120,18 +120,17 @@ util::Fingerprint128 RawBodyFingerprint(const ConvexBody& body,
 
 CanonicalBodyKey CombineKeyWithParams(const CanonicalBodyKey& key,
                                       const util::Fingerprint128& raw,
-                                      double epsilon, int walk_steps,
-                                      int samples_per_phase,
-                                      uint64_t rng_salt) {
+                                      double epsilon, uint64_t rng_salt) {
   util::FingerprintHasher hasher(kTierDomain);
   hasher.Absorb(key.fp.hi);
   hasher.Absorb(key.fp.lo);
   hasher.Absorb(raw.hi);
   hasher.Absorb(raw.lo);
   hasher.AbsorbDouble(epsilon);
-  hasher.Absorb(static_cast<uint64_t>(static_cast<int64_t>(walk_steps)));
-  hasher.Absorb(
-      static_cast<uint64_t>(static_cast<int64_t>(samples_per_phase)));
+  // Two zero words pin the key layout that every RngForKey stream, and so
+  // every cached or recomputed estimate, is derived from.
+  hasher.Absorb(uint64_t{0});
+  hasher.Absorb(uint64_t{0});
   hasher.Absorb(rng_salt);
   return CanonicalBodyKey{hasher.Digest()};
 }

@@ -82,17 +82,15 @@ util::Fingerprint128 RawBodyFingerprint(const ConvexBody& body,
 
 /// Builds the cross-call cache key of a volume estimate: the canonical body
 /// key, the raw-representation fingerprint (what the estimate is bitwise a
-/// function of), the estimation parameters (the "ε tier"), and the caller's
-/// RNG lineage (`rng_salt`, e.g. the forked call rng's seed). Keeping the
-/// salt in the key preserves the API's seed sensitivity — distinct seeds
-/// give distinct estimates — while requests that share a seed (the serving
+/// function of), the estimation ε (the "ε tier"), and the caller's RNG
+/// lineage (`rng_salt`, e.g. the forked call rng's seed). Keeping the salt
+/// in the key preserves the API's seed sensitivity — distinct seeds give
+/// distinct estimates — while requests that share a seed (the serving
 /// layer's common case) share estimates. Streams absorbed here are
 /// domain-separated from body keys.
 CanonicalBodyKey CombineKeyWithParams(const CanonicalBodyKey& key,
                                       const util::Fingerprint128& raw,
-                                      double epsilon, int walk_steps,
-                                      int samples_per_phase,
-                                      uint64_t rng_salt);
+                                      double epsilon, uint64_t rng_salt);
 
 /// The RNG stream owned by a (body × tier) key: a pure function of the key,
 /// so an estimate computed from it can be cached and replayed bit-exactly by

@@ -42,15 +42,12 @@ VolumeEstimate EstimateVolume(const ConvexBody& body, const InnerBall& inner,
   est.volume = geom::BallVolume(n, inner.radius);
   if (phases == 0) return est;
 
-  int walk = options.walk_steps > 0 ? options.walk_steps : 4 * n;
-  int per_phase = options.samples_per_phase;
-  if (per_phase <= 0) {
-    // Relative variance of the product of `phases` ratio estimates, each a
-    // Bernoulli mean >= 1/2 from m samples, is about phases/m; pick
-    // m ≈ 8·phases/ε² and clamp to sane bounds.
-    double m = 8.0 * phases / (options.epsilon * options.epsilon);
-    per_phase = static_cast<int>(std::clamp(m, 200.0, 200000.0));
-  }
+  const int walk = 4 * n;
+  // Relative variance of the product of `phases` ratio estimates, each a
+  // Bernoulli mean >= 1/2 from m samples, is about phases/m; pick
+  // m ≈ 8·phases/ε² and clamp to sane bounds.
+  const int per_phase = static_cast<int>(std::clamp(
+      8.0 * phases / (options.epsilon * options.epsilon), 200.0, 200000.0));
 
   const int chunks = NumChunks(per_phase);
   // Chunks route through the batched kernel in fixed power-of-two groups:
@@ -97,7 +94,8 @@ VolumeEstimate EstimateVolume(const ConvexBody& body, const InnerBall& inner,
         lanes[l] = l;
         sampler.ResetLane(l, inner.center);
       }
-      sampler.WalkLanes(10 * walk, lanes.data(), width, rngs.data());  // burn-in
+      // Burn-in.
+      sampler.WalkLanes(10 * walk, lanes.data(), width, rngs.data());
       std::vector<int> hits(width, 0);
       geom::Vec x;
       auto tally = [&](int l) {

@@ -30,12 +30,10 @@
 namespace mudb::convex {
 
 struct VolumeOptions {
-  /// Target relative accuracy of the estimate (drives samples per phase).
+  /// Target relative accuracy of the estimate. Each annealing phase keeps
+  /// 8·phases/ε² samples (clamped to [200, 200000]), one every 4·dim
+  /// hit-and-run steps.
   double epsilon = 0.1;
-  /// Hit-and-run steps between retained samples; 0 means auto (≈ 4·dim).
-  int walk_steps = 0;
-  /// Samples per annealing phase; 0 means auto from epsilon and phase count.
-  int samples_per_phase = 0;
   /// Optional worker pool for the per-phase chain groups; nullptr runs them
   /// inline. Any pool size yields the identical estimate.
   util::ThreadPool* pool = nullptr;

@@ -19,6 +19,20 @@ void FillAdditiveInterval(AfprasResult* result, double epsilon) {
   result->ci_hi = std::min(1.0, result->estimate + epsilon);
 }
 
+util::Status ValidateEpsilon(double epsilon) {
+  if (!(epsilon > 0) || !(epsilon <= 1)) {
+    return util::Status::InvalidArgument("epsilon must be in (0, 1]");
+  }
+  return util::Status::OK();
+}
+
+util::Status ValidateDelta(double delta) {
+  if (!(delta > 0) || !(delta < 1)) {
+    return util::Status::InvalidArgument("delta must be in (0, 1)");
+  }
+  return util::Status::OK();
+}
+
 int64_t AfprasSampleCount(double epsilon, double delta) {
   MUDB_CHECK(epsilon > 0 && epsilon <= 1);
   MUDB_CHECK(delta > 0 && delta < 1);
@@ -29,12 +43,8 @@ int64_t AfprasSampleCount(double epsilon, double delta) {
 util::StatusOr<AfprasResult> Afpras(const constraints::RealFormula& formula,
                                     const AfprasOptions& options,
                                     util::Rng& rng) {
-  if (options.epsilon <= 0 || options.epsilon > 1) {
-    return util::Status::InvalidArgument("epsilon must be in (0, 1]");
-  }
-  if (!(options.delta > 0) || !(options.delta < 1)) {
-    return util::Status::InvalidArgument("delta must be in (0, 1)");
-  }
+  MUDB_RETURN_IF_ERROR(ValidateEpsilon(options.epsilon));
+  MUDB_RETURN_IF_ERROR(ValidateDelta(options.delta));
   AfprasResult result;
   if (formula.is_constant()) {
     result.estimate =
@@ -44,8 +54,6 @@ util::StatusOr<AfprasResult> Afpras(const constraints::RealFormula& formula,
     return result;
   }
 
-  constraints::RealFormula working = formula;
-  int dim = formula.NumVariables();
   std::set<int> used = formula.UsedVariables();
   if (used.empty()) {
     // Variable-free but not structurally constant (a constant-polynomial
@@ -54,20 +62,15 @@ util::StatusOr<AfprasResult> Afpras(const constraints::RealFormula& formula,
     // is the input class the kAuto exact engines reject — the dispatch
     // fallback (measure.cc) lands here and must not trip the non-empty
     // check below.
-    result.estimate =
-        formula.AsymptoticTruth({}, options.coefficient_tolerance) ? 1.0
-                                                                   : 0.0;
+    result.estimate = formula.AsymptoticTruth({}) ? 1.0 : 0.0;
     result.exact = true;
     FillAdditiveInterval(&result, options.epsilon);
     return result;
   }
-  if (options.restrict_to_used_vars) {
-    std::vector<int> remap(*used.rbegin() + 1, -1);
-    int next = 0;
-    for (int v : used) remap[v] = next++;
-    working = formula.RemapVariables(remap);
-    dim = next;
-  }
+  std::vector<int> remap(*used.rbegin() + 1, -1);
+  int dim = 0;
+  for (int v : used) remap[v] = dim++;
+  const constraints::RealFormula working = formula.RemapVariables(remap);
   result.sampled_dimension = dim;
 
   int64_t m = options.num_samples > 0
@@ -88,7 +91,7 @@ util::StatusOr<AfprasResult> Afpras(const constraints::RealFormula& formula,
     int64_t hits = 0;
     for (int64_t s = 0; s < samples; ++s) {
       geom::Vec a = geom::SampleUnitSphere(dim, local_rng);
-      if (working.AsymptoticTruth(a, options.coefficient_tolerance)) ++hits;
+      if (working.AsymptoticTruth(a)) ++hits;
     }
     return hits;
   };

@@ -27,12 +27,6 @@ struct AfprasOptions {
   double delta = 0.25;
   /// Overrides the sample count computed from (ε, δ) when > 0.
   int64_t num_samples = 0;
-  /// The §9 optimization: sample only the coordinates of nulls that occur in
-  /// the formula (the remaining coordinates cannot affect the truth value,
-  /// and dropping them does not change the directional distribution).
-  bool restrict_to_used_vars = true;
-  /// Absolute tolerance when deciding whether a restricted coefficient is 0.
-  double coefficient_tolerance = 1e-12;
   /// Worker threads for the sampling loop; 0 or negative = all hardware
   /// threads. The estimate is bit-identical for any value given the same
   /// seed: samples are carved into fixed-size chunks, chunk c drawing from
@@ -59,6 +53,12 @@ struct AfprasResult {
   bool exact = false;
 };
 
+/// The error-model bounds every estimator entry point checks before any
+/// work: ε ∈ (0, 1] and δ ∈ (0, 1), else InvalidArgument. Written with
+/// negated comparisons, so NaN fails too.
+util::Status ValidateEpsilon(double epsilon);
+util::Status ValidateDelta(double delta);
+
 /// Number of samples required for additive error ε with confidence 1 − δ.
 int64_t AfprasSampleCount(double epsilon, double delta);
 
@@ -69,7 +69,11 @@ int64_t AfprasSampleCount(double epsilon, double delta);
 /// drift between them.
 void FillAdditiveInterval(AfprasResult* result, double epsilon);
 
-/// Runs the AFPRAS on φ. Constant formulae return exactly 0 or 1. Advances
+/// Runs the AFPRAS on φ, sampling directions over only the variables φ uses
+/// (the §9 optimization: the other coordinates cannot change its truth, and
+/// dropping them leaves the directional distribution unchanged). Fails with
+/// InvalidArgument unless ε ∈ (0, 1] and δ ∈ (0, 1). Constant and
+/// variable-free formulae return exactly 0 or 1. Advances
 /// `rng` by one draw (Rng::Fork) and samples from substreams of the forked
 /// child, so repeated calls with one Rng see fresh randomness while a fresh
 /// same-seeded Rng reproduces the estimate bit-exactly.

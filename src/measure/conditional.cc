@@ -11,12 +11,8 @@ namespace mudb::measure {
 util::StatusOr<AfprasResult> ConditionalAfpras(
     const constraints::RealFormula& formula, const VarRanges& ranges,
     const AfprasOptions& options, util::Rng& rng) {
-  if (options.epsilon <= 0 || options.epsilon > 1) {
-    return util::Status::InvalidArgument("epsilon must be in (0, 1]");
-  }
-  if (!(options.delta > 0) || !(options.delta < 1)) {
-    return util::Status::InvalidArgument("delta must be in (0, 1)");
-  }
+  MUDB_RETURN_IF_ERROR(ValidateEpsilon(options.epsilon));
+  MUDB_RETURN_IF_ERROR(ValidateDelta(options.delta));
   for (size_t i = 0; i < ranges.size(); ++i) {
     if (ranges[i].bounded() && *ranges[i].lo > *ranges[i].hi) {
       return util::Status::InvalidArgument(
@@ -35,29 +31,17 @@ util::StatusOr<AfprasResult> ConditionalAfpras(
   // Restrict to the variables occurring in the formula; constraints on
   // unused variables marginalize out (their interval factor cancels in the
   // numerator/denominator ratio).
-  constraints::RealFormula working = formula;
+  std::set<int> used = formula.UsedVariables();
+  MUDB_CHECK(!used.empty());
+  std::vector<int> remap(*used.rbegin() + 1, -1);
   std::vector<VarRange> var_ranges;
-  if (options.restrict_to_used_vars) {
-    std::set<int> used = formula.UsedVariables();
-    MUDB_CHECK(!used.empty());
-    std::vector<int> remap(*used.rbegin() + 1, -1);
-    int next = 0;
-    for (int v : used) {
-      remap[v] = next++;
-      var_ranges.push_back(static_cast<size_t>(v) < ranges.size()
-                               ? ranges[v]
-                               : VarRange::Free());
-    }
-    working = formula.RemapVariables(remap);
-  } else {
-    int n = std::max(formula.NumVariables(),
-                     static_cast<int>(ranges.size()));
-    for (int v = 0; v < n; ++v) {
-      var_ranges.push_back(static_cast<size_t>(v) < ranges.size()
-                               ? ranges[v]
-                               : VarRange::Free());
-    }
+  for (int v : used) {
+    remap[v] = static_cast<int>(var_ranges.size());
+    var_ranges.push_back(static_cast<size_t>(v) < ranges.size()
+                             ? ranges[v]
+                             : VarRange::Free());
   }
+  const constraints::RealFormula working = formula.RemapVariables(remap);
   const int dim = static_cast<int>(var_ranges.size());
   result.sampled_dimension = dim;
 
@@ -85,10 +69,7 @@ util::StatusOr<AfprasResult> ConditionalAfpras(
           a[i] = local_rng.Gaussian();
         }
       }
-      if (working.AsymptoticTruthPartial(a, scaled,
-                                         options.coefficient_tolerance)) {
-        ++hits;
-      }
+      if (working.AsymptoticTruthPartial(a, scaled)) ++hits;
     }
     return hits;
   };

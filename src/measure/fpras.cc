@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "src/geom/geometry.h"
+#include "src/measure/afpras.h"
 #include "src/obs/trace.h"
 #include "src/util/thread_pool.h"
 #include "src/volume/union_volume.h"
@@ -19,6 +20,10 @@ using constraints::CmpOp;
 using constraints::Conjunction;
 using constraints::RealAtom;
 using constraints::RealFormula;
+
+// Cap on the DNF disjuncts converted to cones: a formula with more fails
+// with ResourceExhausted before any LP or sampling work.
+constexpr size_t kMaxDisjuncts = 4096;
 
 // Translates one homogenized disjunct into cone halfspaces. Returns false if
 // the disjunct has measure zero (contains a nontrivial equality or an
@@ -87,8 +92,6 @@ util::StatusOr<FprasBodySet> BuildFprasBodies(
         "use the AFPRAS for FO(+,\xC2\xB7,<)");
   }
 
-  RealFormula working = formula;
-  int dim = formula.NumVariables();
   std::set<int> used = formula.UsedVariables();
   if (used.empty()) {
     // Variable-free but not structurally constant (constant-polynomial
@@ -97,17 +100,15 @@ util::StatusOr<FprasBodySet> BuildFprasBodies(
     set.trivial_value = formula.AsymptoticTruth({}) ? 1.0 : 0.0;
     return set;
   }
-  if (options.restrict_to_used_vars) {
-    std::vector<int> remap(*used.rbegin() + 1, -1);
-    int next = 0;
-    for (int v : used) remap[v] = next++;
-    working = formula.RemapVariables(remap);
-    dim = next;
-  }
+  // Sample only the used variables (§9): the others cannot change ν.
+  std::vector<int> remap(*used.rbegin() + 1, -1);
+  int dim = 0;
+  for (int v : used) remap[v] = dim++;
+  const RealFormula working = formula.RemapVariables(remap);
   set.sampled_dimension = dim;
 
   MUDB_ASSIGN_OR_RETURN(std::vector<Conjunction> dnf,
-                        working.ToDnf(options.max_disjuncts));
+                        working.ToDnf(kMaxDisjuncts));
 
   // Translate every disjunct to cone halfspaces (cheap, serial), ...
   std::vector<std::vector<std::pair<geom::Vec, double>>> cones;
@@ -163,6 +164,7 @@ util::StatusOr<FprasBodySet> BuildFprasBodies(
 util::StatusOr<FprasResult> FprasFromBodies(const FprasBodySet& body_set,
                                             const FprasOptions& options,
                                             util::Rng& rng) {
+  MUDB_RETURN_IF_ERROR(ValidateEpsilon(options.epsilon));
   FprasResult result;
   result.sampled_dimension = body_set.sampled_dimension;
   if (body_set.trivial) {
@@ -193,9 +195,7 @@ util::StatusOr<FprasResult> FprasFromBodies(const FprasBodySet& body_set,
   util::ThreadPool* pool = EnsurePool(options, &local_pool);
   volume::UnionVolumeOptions uopts;
   uopts.epsilon = options.epsilon;
-  uopts.body_volume.epsilon = options.epsilon;
   uopts.pool = pool;
-  uopts.body_volume.pool = pool;
   uopts.body_cache = options.body_cache;
   MUDB_ASSIGN_OR_RETURN(
       volume::UnionVolumeResult uv,
@@ -222,6 +222,8 @@ util::StatusOr<FprasResult> FprasFromBodies(const FprasBodySet& body_set,
 util::StatusOr<FprasResult> FprasConjunctive(
     const constraints::RealFormula& formula, const FprasOptions& options,
     util::Rng& rng) {
+  // Checked before the DNF and LP work, which does not read ε.
+  MUDB_RETURN_IF_ERROR(ValidateEpsilon(options.epsilon));
   // One pool serves both halves (the halves each spawn their own only when
   // called standalone without one).
   std::optional<util::ThreadPool> local_pool;

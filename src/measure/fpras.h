@@ -42,12 +42,9 @@
 namespace mudb::measure {
 
 struct FprasOptions {
-  /// Target relative error ε ∈ (0, 1].
+  /// Target relative error ε ∈ (0, 1]; anything else (NaN included) fails
+  /// with InvalidArgument.
   double epsilon = 0.1;
-  /// Cap on the number of DNF disjuncts.
-  size_t max_disjuncts = 4096;
-  /// As in AfprasOptions: compact away unused variables first.
-  bool restrict_to_used_vars = true;
   /// Worker threads for the sampling pipeline (per-cone LPs, annealing
   /// phases, the Karp–Luby loop); 0 or negative = all hardware threads.
   /// The estimate is bit-identical for any value given the same seed: work
@@ -104,23 +101,25 @@ struct FprasBodySet {
   std::vector<volume::SeededBody> bodies;
 };
 
-/// Runs the DNF → cones → inner-ball stages. Deterministic, consumes no
-/// randomness. Fails with InvalidArgument if some atom is nonlinear and
-/// ResourceExhausted if the DNF exceeds max_disjuncts.
+/// Runs the DNF → cones → inner-ball stages over the variables φ uses
+/// (compacted to z_0..z_{d−1}; unused nulls cannot change ν). Deterministic,
+/// consumes no randomness. Fails with InvalidArgument if some atom is
+/// nonlinear and ResourceExhausted if the DNF has more than 4096 disjuncts.
 util::StatusOr<FprasBodySet> BuildFprasBodies(
     const constraints::RealFormula& formula, const FprasOptions& options);
 
-/// Runs the sampling back half on a prepared body set. Consumes randomness
-/// from `rng` (one Rng::Fork draw inside the union estimate).
+/// Runs the sampling back half on a prepared body set. Fails with
+/// InvalidArgument unless ε ∈ (0, 1]. Consumes randomness from `rng` (one
+/// Rng::Fork draw inside the union estimate).
 util::StatusOr<FprasResult> FprasFromBodies(const FprasBodySet& body_set,
                                             const FprasOptions& options,
                                             util::Rng& rng);
 
 /// Runs the FPRAS end to end (BuildFprasBodies + FprasFromBodies). Fails
-/// with InvalidArgument if some atom is nonlinear and ResourceExhausted if
-/// the DNF exceeds max_disjuncts. Consumes randomness from `rng` (one
-/// Rng::Fork draw inside the union estimate), so repeated calls with one
-/// Rng see fresh sample paths.
+/// with InvalidArgument if ε ∉ (0, 1] or some atom is nonlinear, and with
+/// ResourceExhausted if the DNF has more than 4096 disjuncts. Consumes
+/// randomness from `rng` (one Rng::Fork draw inside the union estimate), so
+/// repeated calls with one Rng see fresh sample paths.
 util::StatusOr<FprasResult> FprasConjunctive(
     const constraints::RealFormula& formula, const FprasOptions& options,
     util::Rng& rng);

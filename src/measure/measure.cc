@@ -43,7 +43,6 @@ util::StatusOr<MeasureResult> RunAfpras(const RealFormula& formula,
   AfprasOptions aopts;
   aopts.epsilon = options.epsilon;
   aopts.delta = options.delta;
-  aopts.restrict_to_used_vars = options.restrict_to_used_vars;
   aopts.num_threads = options.num_threads;
   aopts.pool = options.pool;
   util::Rng rng(options.seed);
@@ -64,8 +63,6 @@ util::StatusOr<MeasureResult> RunFpras(const RealFormula& formula,
                                        const MeasureOptions& options) {
   FprasOptions fopts;
   fopts.epsilon = options.epsilon;
-  fopts.max_disjuncts = options.max_dnf_disjuncts;
-  fopts.restrict_to_used_vars = options.restrict_to_used_vars;
   fopts.num_threads = options.num_threads;
   fopts.pool = options.pool;
   fopts.body_cache = options.body_cache;
@@ -115,14 +112,8 @@ util::StatusOr<MeasureResult> RunExact2D(const RealFormula& formula) {
 }  // namespace
 
 util::Status ValidateMeasureOptions(const MeasureOptions& options) {
-  // Negated comparisons so NaN fails too.
-  if (!(options.epsilon > 0) || !(options.epsilon <= 1)) {
-    return util::Status::InvalidArgument("epsilon must be in (0, 1]");
-  }
-  if (!(options.delta > 0) || !(options.delta < 1)) {
-    return util::Status::InvalidArgument("delta must be in (0, 1)");
-  }
-  return util::Status::OK();
+  MUDB_RETURN_IF_ERROR(ValidateEpsilon(options.epsilon));
+  return ValidateDelta(options.delta);
 }
 
 util::StatusOr<MeasureResult> ComputeNu(const RealFormula& formula,
@@ -215,7 +206,6 @@ util::StatusOr<MeasureResult> ComputeConditionalMeasure(
   AfprasOptions aopts;
   aopts.epsilon = options.epsilon;
   aopts.delta = options.delta;
-  aopts.restrict_to_used_vars = options.restrict_to_used_vars;
   aopts.num_threads = options.num_threads;
   aopts.pool = options.pool;
   util::Rng rng(options.seed);

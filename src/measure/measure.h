@@ -75,12 +75,8 @@ struct MeasureOptions {
   uint64_t seed = 0xC0FFEE;
   /// Query Z3 (when available) for μ=0 / μ=1 certificates before sampling.
   bool use_z3_shortcuts = false;
-  /// Sample only nulls that occur in the constraints (§9 optimization).
-  bool restrict_to_used_vars = true;
   /// kAuto: maximum variables for the exact order engine.
   int exact_order_max_vars = 8;
-  /// Passed to the FPRAS DNF conversion.
-  size_t max_dnf_disjuncts = 4096;
   /// Cap on grounding (translate::GroundOptions::max_atoms) for the
   /// query-level entry points: bounds the work a single request can cost
   /// before sampling starts. Exceeding it fails with ResourceExhausted.
@@ -139,12 +135,15 @@ struct MeasureResult {
   int unique_bodies = 0;
   /// Unique-body volume estimates served by MeasureOptions::body_cache.
   int64_t body_cache_hits = 0;
-  /// Dimension sampled after variable restriction.
+  /// Dimension sampled: the randomized engines sample only the nulls that
+  /// occur in the constraints (§9 optimization).
   int sampled_dimension = 0;
 };
 
 /// Validates the error-model knobs once at the API boundary: ε must lie in
-/// (0, 1] and δ in (0, 1). Every public entry point (ComputeNu /
+/// (0, 1] and δ in (0, 1), checked by the ValidateEpsilon / ValidateDelta
+/// that every estimator entry point runs (NaN fails). Every public entry
+/// point (ComputeNu /
 /// ComputeMeasure / ComputeConditionalMeasure and the serving layer) calls
 /// this before doing any work — the ranking ladder's δ-splitting divides δ
 /// into per-tier budgets, so a degenerate δ must fail up front instead of

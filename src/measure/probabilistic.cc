@@ -65,12 +65,8 @@ util::StatusOr<AfprasResult> ProbabilisticMeasure(
     const constraints::RealFormula& formula,
     const std::vector<Distribution>& dists, const AfprasOptions& options,
     util::Rng& rng) {
-  if (options.epsilon <= 0 || options.epsilon > 1) {
-    return util::Status::InvalidArgument("epsilon must be in (0, 1]");
-  }
-  if (!(options.delta > 0) || !(options.delta < 1)) {
-    return util::Status::InvalidArgument("delta must be in (0, 1)");
-  }
+  MUDB_RETURN_IF_ERROR(ValidateEpsilon(options.epsilon));
+  MUDB_RETURN_IF_ERROR(ValidateDelta(options.delta));
   AfprasResult result;
   if (formula.is_constant()) {
     result.estimate =

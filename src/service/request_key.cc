@@ -61,10 +61,8 @@ convex::CanonicalBodyKey RequestSignature(
   hasher.AbsorbDouble(options.delta);
   hasher.Absorb(options.seed);
   hasher.Absorb(static_cast<uint64_t>(options.use_z3_shortcuts));
-  hasher.Absorb(static_cast<uint64_t>(options.restrict_to_used_vars));
   hasher.Absorb(static_cast<uint64_t>(
       static_cast<int64_t>(options.exact_order_max_vars)));
-  hasher.Absorb(static_cast<uint64_t>(options.max_dnf_disjuncts));
   // num_threads / pool / body_cache are deliberately absent: the
   // determinism contract guarantees they cannot change a result.
   return convex::CanonicalBodyKey{hasher.Digest()};

@@ -106,10 +106,4 @@ bool Rng::GaussianSlow(int idx, bool neg, double x, double* out) {
   return false;  // rejected: redraw a fresh layer
 }
 
-void GaussianFillLanes(Rng* rngs, int num_lanes, int n, double* out) {
-  for (int l = 0; l < num_lanes; ++l) {
-    rngs[l].GaussianFill(n, out + l, num_lanes);
-  }
-}
-
 }  // namespace mudb::util

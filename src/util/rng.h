@@ -142,19 +142,12 @@ class Rng {
   }
 
   /// Strided Gaussian fill: writes n deviates to out[0], out[stride], ...,
-  /// out[(n-1)·stride], bit-identical to n successive Gaussian() calls. The
-  /// strided form writes one lane column of the batched sampler's lane-minor
+  /// out[(n-1)·stride], bit-identical to n successive Gaussian() calls, and
+  /// returns their sum of squares accumulated in draw order — the norm
+  /// accumulation every direction sampler needs, computed while each deviate
+  /// is still in a register instead of reloading the output. The strided
+  /// form writes one lane column of the batched sampler's lane-minor
   /// direction panel without a transpose pass.
-  void GaussianFill(int n, double* out, int stride = 1) {
-    for (int i = 0; i < n; ++i) {
-      out[static_cast<size_t>(i) * stride] = Gaussian();
-    }
-  }
-
-  /// GaussianFill plus the sum of squares of the deviates, accumulated in
-  /// draw order — the norm accumulation every direction sampler needs,
-  /// computed while each deviate is still in a register instead of reloading
-  /// the (possibly strided) output.
   double GaussianFillSq(int n, double* out, int stride = 1) {
     double s = 0.0;
     for (int i = 0; i < n; ++i) {
@@ -214,15 +207,6 @@ class Rng {
   /// static init of other TUs), then guard-free on every deviate.
   const internal::ZigguratTables* zig_ = &internal::Ziggurat();
 };
-
-/// K-lane Gaussian panel fill for the batched sampling kernel: writes n
-/// deviates per lane into the lane-minor n×K panel `out` (out[j·num_lanes+l]
-/// is lane l's j-th deviate, drawn from rngs[l]). Lane l's column is
-/// bit-identical to n scalar Gaussian() calls on rngs[l] — each lane is its
-/// own engine, so this batches the memory layout (deviates land directly in
-/// panel order for the vectorized consumers), not the engine stepping, which
-/// is what keeps every lane's stream exactly the scalar sampler's stream.
-void GaussianFillLanes(Rng* rngs, int num_lanes, int n, double* out);
 
 }  // namespace mudb::util
 

@@ -6,6 +6,7 @@
 #include <unordered_map>
 
 #include "src/convex/batch_sampler.h"
+#include "src/convex/volume.h"
 #include "src/obs/trace.h"
 
 namespace mudb::volume {
@@ -63,8 +64,11 @@ util::StatusOr<UnionVolumeResult> EstimateUnionVolume(
   // stream owned by its (body × tier) key — a pure function of content, so
   // an external cache hit replays exactly what recomputation would produce.
   // The bodies run sequentially — EstimateVolume itself fans each annealing
-  // phase out on body_volume.pool, which keeps the parallelism flat (no
-  // nested ParallelFor) while saturating the workers even for a single body.
+  // phase out on the pool, which keeps the parallelism flat (no nested
+  // ParallelFor) while saturating the workers even for a single body.
+  convex::VolumeOptions body_options;
+  body_options.epsilon = options.epsilon;
+  body_options.pool = options.pool;
   std::vector<double> uniq_volume(u);
   double total = 0.0;
   for (int s = 0; s < u; ++s) {
@@ -80,8 +84,7 @@ util::StatusOr<UnionVolumeResult> EstimateUnionVolume(
         uniq_key[s],
         convex::RawBodyFingerprint(rep.body, rep.inner.center,
                                    rep.inner.radius, rep.outer_radius_bound),
-        options.body_volume.epsilon, options.body_volume.walk_steps,
-        options.body_volume.samples_per_phase, base.seed());
+        options.epsilon, base.seed());
     // Phase-level span: one per unique body, annotated with the cache
     // outcome — never inside the sampling loops.
     obs::Span body_span("volume.body_estimate");
@@ -100,8 +103,7 @@ util::StatusOr<UnionVolumeResult> EstimateUnionVolume(
       if (body_span.recording()) body_span.Annotate("cache", "miss");
       util::Rng body_rng = convex::RngForKey(tier_key);
       convex::VolumeEstimate est = convex::EstimateVolume(
-          rep.body, rep.inner, rep.outer_radius_bound, options.body_volume,
-          body_rng);
+          rep.body, rep.inner, rep.outer_radius_bound, body_options, body_rng);
       uniq_volume[s] = est.volume;
       result.steps += est.steps;
       if (options.body_cache != nullptr) {
@@ -133,13 +135,9 @@ util::StatusOr<UnionVolumeResult> EstimateUnionVolume(
     cdf[s] = acc / total;
   }
 
-  int dim = bodies[0].body.dim();
-  int walk = options.walk_steps > 0 ? options.walk_steps : 4 * dim;
-  int num_samples = options.num_samples;
-  if (num_samples <= 0) {
-    double s = 12.0 * u / (options.epsilon * options.epsilon);
-    num_samples = static_cast<int>(std::clamp(s, 1000.0, 2000000.0));
-  }
+  const int walk = 4 * bodies[0].body.dim();
+  const int num_samples = static_cast<int>(std::clamp(
+      12.0 * u / (options.epsilon * options.epsilon), 1000.0, 2000000.0));
 
   const int chunks = NumChunks(num_samples, u);
   // Chunks route through the batched kernel in fixed power-of-two groups:

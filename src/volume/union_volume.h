@@ -42,7 +42,6 @@
 
 #include "src/convex/body.h"
 #include "src/convex/canonical.h"
-#include "src/convex/volume.h"
 #include "src/util/rng.h"
 #include "src/util/status.h"
 #include "src/util/thread_pool.h"
@@ -75,17 +74,14 @@ class BodyEstimateCache {
 };
 
 struct UnionVolumeOptions {
-  /// Target relative accuracy.
+  /// Target relative accuracy, of the union and of every per-body volume
+  /// estimate (convex::VolumeOptions::epsilon). The Karp–Luby loop draws
+  /// 12·(unique bodies)/ε² samples (clamped to [1000, 2000000]), one every
+  /// 4·dim hit-and-run steps.
   double epsilon = 0.1;
-  /// Hit-and-run steps between Karp–Luby samples; 0 = auto (≈ 4·dim).
-  int walk_steps = 0;
-  /// Karp–Luby samples; 0 = auto from epsilon and the number of bodies.
-  int num_samples = 0;
-  /// Options for the per-body volume estimates (set body_volume.pool to the
-  /// same pool as `pool` to parallelize them as well).
-  convex::VolumeOptions body_volume;
-  /// Optional worker pool for the Karp–Luby chunk groups; nullptr runs them
-  /// inline. Any pool size yields the identical estimate.
+  /// Optional worker pool for the per-body annealing phases and the
+  /// Karp–Luby chunk groups; nullptr runs them inline. Any pool size yields
+  /// the identical estimate.
   util::ThreadPool* pool = nullptr;
   /// Optional cross-call estimate cache (not owned). Hits skip a body's
   /// sampling entirely and are bit-identical to recomputation.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -43,17 +44,22 @@ TEST(AfprasTest, ConstantFormulaExact) {
 }
 
 TEST(AfprasTest, RejectsBadEpsilon) {
-  AfprasOptions opts;
-  opts.epsilon = 0.0;
-  util::Rng rng(1);
-  EXPECT_FALSE(Afpras(RealFormula::Cmp(Z(0), CmpOp::kLt), opts, rng).ok());
-  opts.epsilon = 1.5;
-  EXPECT_FALSE(Afpras(RealFormula::Cmp(Z(0), CmpOp::kLt), opts, rng).ok());
+  // NaN fails like every other ε outside (0, 1], with a Status, before
+  // AfprasSampleCount's invariant check could abort.
+  for (double bad :
+       {std::numeric_limits<double>::quiet_NaN(), 0.0, -0.5, 1.5}) {
+    AfprasOptions opts;
+    opts.epsilon = bad;
+    util::Rng rng(1);
+    auto r = Afpras(RealFormula::Cmp(Z(0) - Z(1), CmpOp::kLt), opts, rng);
+    EXPECT_FALSE(r.ok()) << bad;
+    EXPECT_EQ(r.status().code(), util::StatusCode::kInvalidArgument) << bad;
+  }
 }
 
 TEST(AfprasTest, RejectsBadDelta) {
   // δ was previously forwarded unchecked into AfprasSampleCount.
-  for (double bad : {0.0, 1.0, 2.0}) {
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(), 0.0, 1.0, 2.0}) {
     AfprasOptions opts;
     opts.delta = bad;
     util::Rng rng(1);
@@ -129,26 +135,25 @@ TEST(AfprasTest, DeterministicGivenSeed) {
 }
 
 TEST(AfprasTest, RestrictToUsedVarsGivesSameDistribution) {
-  // Formula on variables {0, 7} embedded in a 8-dim space: restricting to the
-  // used coordinates must not change the measure (the §9 optimization).
-  std::vector<RealFormula> parts;
-  parts.push_back(RealFormula::Cmp(-Z(0), CmpOp::kLt));
-  parts.push_back(RealFormula::Cmp(-Z(7), CmpOp::kLt));
-  RealFormula f = RealFormula::And(parts);
-  AfprasOptions fast;
-  fast.num_samples = 150000;
-  fast.restrict_to_used_vars = true;
-  AfprasOptions slow = fast;
-  slow.restrict_to_used_vars = false;
-  util::Rng rng1(5), rng2(6);
-  auto a = Afpras(f, fast, rng1);
-  auto b = Afpras(f, slow, rng2);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(a->sampled_dimension, 2);
-  EXPECT_EQ(b->sampled_dimension, 8);
-  EXPECT_NEAR(a->estimate, 0.25, 0.01);
-  EXPECT_NEAR(b->estimate, 0.25, 0.01);
+  // Formula on variables {0, 7} embedded in an 8-dim space: only the two
+  // used coordinates are sampled (the §9 optimization), so it measures
+  // exactly like the same formula on {0, 1}, draw for draw.
+  auto quadrant = [](int u, int v) {
+    std::vector<RealFormula> parts;
+    parts.push_back(RealFormula::Cmp(-Z(u), CmpOp::kLt));
+    parts.push_back(RealFormula::Cmp(-Z(v), CmpOp::kLt));
+    return RealFormula::And(parts);
+  };
+  AfprasOptions opts;
+  opts.num_samples = 150000;
+  util::Rng rng1(5), rng2(5);
+  auto spread = Afpras(quadrant(0, 7), opts, rng1);
+  auto packed = Afpras(quadrant(0, 1), opts, rng2);
+  ASSERT_TRUE(spread.ok());
+  ASSERT_TRUE(packed.ok());
+  EXPECT_EQ(spread->sampled_dimension, 2);
+  EXPECT_EQ(spread->estimate, packed->estimate);
+  EXPECT_NEAR(spread->estimate, 0.25, 0.01);
 }
 
 TEST(AfprasTest, ParallelSamplingIsDeterministicAndAccurate) {

@@ -1,7 +1,8 @@
 // The batched K-chain kernel against the scalar sampler: every lane of
 // BatchedHitAndRunSampler must be bit-identical to a scalar HitAndRunSampler
 // walking the same (body, start, rng substream), for any K, any lane subset
-// schedule, and across the fixed 1024-step cache-refresh boundary — the
+// schedule, and across the fixed 1024-step cache-refresh boundary, on both
+// the dense panel and the listed-lane path of the one step body — the
 // contract that lets the estimator chain grids route through the batched
 // kernel without perturbing any estimate.
 
@@ -84,24 +85,25 @@ void ExpectLanesMatchScalar(const RandomBody& rb, int lanes, uint64_t seed) {
 }
 
 TEST(BatchSamplerTest, LanesBitIdenticalToScalarAcrossK) {
+  // 3 and 7 lanes have no dense specialization: WalkAll walks them as a
+  // listed lane set.
   util::Rng body_rng(1234);
   for (int dim : {1, 2, 3, 5}) {
     RandomBody rb = MakeRandomBody(dim, body_rng);
-    for (int lanes : {1, 2, 4, 8, 16}) {
+    for (int lanes : {1, 2, 3, 4, 7, 8, 16}) {
       ExpectLanesMatchScalar(rb, lanes, 9000 + dim);
       if (HasFatalFailure()) return;
     }
   }
 }
 
-TEST(BatchSamplerTest, SubsetWalksMatchScalarSchedules) {
-  // Lanes walked through arbitrary subset schedules (the Karp–Luby loop's
-  // access pattern: different lanes advance by different step counts at
-  // different times) must still match scalar chains walking the same
-  // per-lane totals.
-  util::Rng body_rng(77);
-  RandomBody rb = MakeRandomBody(3, body_rng);
-  const int lanes = 4;
+using Schedule = std::vector<std::pair<std::vector<int>, int>>;
+
+// Walks `schedule` — (lane list, steps) pairs — on a `lanes`-lane sampler
+// and asserts after every entry that each lane matches a scalar chain that
+// walked the same per-lane total on the same substream.
+void ExpectScheduleMatchesScalar(const RandomBody& rb, int lanes,
+                                 const Schedule& schedule) {
   BatchedHitAndRunSampler batched(&rb.body, lanes);
   std::vector<util::Rng> lane_rngs;
   std::vector<util::Rng> scalar_rngs;
@@ -113,12 +115,6 @@ TEST(BatchSamplerTest, SubsetWalksMatchScalarSchedules) {
     scalars.emplace_back(&rb.body, rb.inside);
     batched.ResetLane(l, rb.inside);
   }
-  // Schedule: (lane subset, steps). Non-contiguous, unordered-looking lane
-  // sets; lane 0 never rests, lane 3 mostly rests.
-  const std::vector<std::pair<std::vector<int>, int>> schedule = {
-      {{0, 2}, 37},  {{0, 1, 3}, 11}, {{0}, 301},      {{1, 2}, 64},
-      {{0, 1, 2, 3}, 129}, {{2, 0}, 40}, {{0, 1, 2}, 257},
-  };
   std::vector<int> scalar_steps(lanes, 0);
   for (const auto& [lane_set, steps] : schedule) {
     std::vector<util::Rng*> rngs;
@@ -132,10 +128,49 @@ TEST(BatchSamplerTest, SubsetWalksMatchScalarSchedules) {
     geom::Vec got;
     for (int l = 0; l < lanes; ++l) {
       batched.GetCurrent(l, &got);
-      ASSERT_EQ(got, scalars[l].current()) << "lane " << l << " after "
-                                           << scalar_steps[l] << " steps";
+      ASSERT_EQ(got, scalars[l].current())
+          << "lanes " << lanes << " lane " << l << " after "
+          << scalar_steps[l] << " steps";
     }
   }
+  // Lane 0 crosses the exact-refresh boundary inside a listed walk.
+  EXPECT_GT(scalar_steps[0], kSamplerRefreshInterval);
+}
+
+TEST(BatchSamplerTest, SubsetWalksMatchScalarSchedules) {
+  // Lanes walked through arbitrary subset schedules (the Karp–Luby loop's
+  // access pattern: different lanes advance by different step counts at
+  // different times) must still match scalar chains walking the same
+  // per-lane totals. A full but permuted lane list walks the listed path
+  // over every lane; at 16 lanes that is the widest stack scratch.
+  util::Rng body_rng(77);
+  RandomBody rb = MakeRandomBody(3, body_rng);
+  // Non-contiguous, unordered-looking lane sets; lane 0 never rests, lane 3
+  // mostly rests. Only {0, 1, 2, 3} takes the dense path.
+  const Schedule four_lanes = {
+      {{0, 2}, 37},       {{0, 1, 3}, 11}, {{0}, 301},
+      {{1, 2}, 64},       {{0, 1, 2, 3}, 129}, {{2, 0}, 40},
+      {{0, 1, 2}, 257},   {{3, 1, 0, 2}, 300},
+  };
+  ExpectScheduleMatchesScalar(rb, 4, four_lanes);
+  if (HasFatalFailure()) return;
+  std::vector<int> reversed(16), identity(16);
+  for (int l = 0; l < 16; ++l) {
+    reversed[l] = 15 - l;
+    identity[l] = l;
+  }
+  const Schedule sixteen_lanes = {
+      {{0, 5, 9, 15}, 37}, {reversed, 300},    {{1, 3, 5, 7, 9, 11, 13}, 64},
+      {identity, 129},     {{2, 0, 15, 7, 11}, 257}, {{0}, 400},
+  };
+  ExpectScheduleMatchesScalar(rb, 16, sixteen_lanes);
+}
+
+TEST(BatchSamplerDeathTest, RejectsMoreLanesThanTheStackScratch) {
+  util::Rng body_rng(9);
+  RandomBody rb = MakeRandomBody(2, body_rng);
+  EXPECT_DEATH(BatchedHitAndRunSampler(&rb.body, kBatchMaxLanes + 1),
+               "kBatchMaxLanes");
 }
 
 TEST(BatchSamplerTest, LazyLaneInitAndReset) {

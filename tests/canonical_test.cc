@@ -192,13 +192,17 @@ TEST(CanonicalTest, TierRawAndSaltSeparateKeys) {
   CanonicalBodyKey k = CanonicalizeBody(body);
   util::Fingerprint128 raw =
       RawBodyFingerprint(body, geom::Vec{0.0, 0.0}, 0.25, 1.5);
-  CanonicalBodyKey t1 = CombineKeyWithParams(k, raw, 0.1, 0, 0, 42);
-  CanonicalBodyKey t2 = CombineKeyWithParams(k, raw, 0.2, 0, 0, 42);
-  CanonicalBodyKey t3 = CombineKeyWithParams(k, raw, 0.1, 0, 0, 43);
+  CanonicalBodyKey t1 = CombineKeyWithParams(k, raw, 0.1, 42);
+  CanonicalBodyKey t2 = CombineKeyWithParams(k, raw, 0.2, 42);
+  CanonicalBodyKey t3 = CombineKeyWithParams(k, raw, 0.1, 43);
   EXPECT_NE(t1, t2);  // different ε tier
   EXPECT_NE(t1, t3);  // different rng salt
-  EXPECT_EQ(t1, CombineKeyWithParams(k, raw, 0.1, 0, 0, 42));
+  EXPECT_EQ(t1, CombineKeyWithParams(k, raw, 0.1, 42));
   EXPECT_NE(t1, k);  // domain-separated from body keys
+  // The key layout is pinned: every RngForKey stream, and so every body
+  // estimate, derives from these bits.
+  EXPECT_EQ(t1.fp.hi, 0xdfe003690bc1aad8ull);
+  EXPECT_EQ(t1.fp.lo, 0x34fcef7c369bf9c3ull);
 
   // The raw form separates too: a rescaled representation of the same
   // canonical body (and likewise a perturbed inner seed) owns its own
@@ -209,10 +213,10 @@ TEST(CanonicalTest, TierRawAndSaltSeparateKeys) {
   EXPECT_EQ(k, CanonicalizeBody(scaled));
   util::Fingerprint128 raw_scaled =
       RawBodyFingerprint(scaled, geom::Vec{0.0, 0.0}, 0.25, 1.5);
-  EXPECT_NE(CombineKeyWithParams(k, raw_scaled, 0.1, 0, 0, 42), t1);
+  EXPECT_NE(CombineKeyWithParams(k, raw_scaled, 0.1, 42), t1);
   util::Fingerprint128 raw_moved =
       RawBodyFingerprint(body, geom::Vec{0.1, 0.0}, 0.25, 1.5);
-  EXPECT_NE(CombineKeyWithParams(k, raw_moved, 0.1, 0, 0, 42), t1);
+  EXPECT_NE(CombineKeyWithParams(k, raw_moved, 0.1, 42), t1);
 }
 
 TEST(CanonicalTest, RngForKeyIsAPureFunction) {

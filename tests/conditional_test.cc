@@ -1,6 +1,7 @@
 // Tests for the §10 conditional-measure extension (range-constrained nulls).
 
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -39,6 +40,22 @@ TEST(ConditionalTest, RejectsEmptyInterval) {
   auto cond = ConditionalAfpras(f, {VarRange::Between(2, 1)}, ManySamples(),
                                 rng);
   EXPECT_FALSE(cond.ok());
+}
+
+TEST(ConditionalTest, RejectsBadEpsilon) {
+  // NaN fails like every other ε outside (0, 1], with a Status, before
+  // AfprasSampleCount's invariant check could abort.
+  RealFormula f = RealFormula::Cmp(Z(0) - Z(1), CmpOp::kLt);
+  for (double bad :
+       {std::numeric_limits<double>::quiet_NaN(), 0.0, -0.5, 1.5}) {
+    AfprasOptions opts;
+    opts.epsilon = bad;
+    util::Rng rng(1);
+    auto cond = ConditionalAfpras(f, {VarRange::AtLeast(0)}, opts, rng);
+    EXPECT_FALSE(cond.ok()) << bad;
+    EXPECT_EQ(cond.status().code(), util::StatusCode::kInvalidArgument)
+        << bad;
+  }
 }
 
 TEST(ConditionalTest, FullyBoundedBoxIsPointwiseProbability) {

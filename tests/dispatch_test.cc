@@ -4,6 +4,7 @@
 // numeric comparisons.
 
 #include <algorithm>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -50,7 +51,8 @@ TEST(DispatchTest, DegenerateOptionsRejectedAtTheBoundary) {
   RealFormula f = RealFormula::Cmp(Z(0), CmpOp::kLt);
   for (Method m : {Method::kAuto, Method::kExact2D, Method::kAfpras,
                    Method::kFpras}) {
-    for (double bad_delta : {0.0, 1.0, 2.0, -0.5}) {
+    for (double bad_delta :
+         {0.0, 1.0, 2.0, -0.5, std::numeric_limits<double>::quiet_NaN()}) {
       MeasureOptions opts;
       opts.method = m;
       opts.delta = bad_delta;
@@ -58,7 +60,8 @@ TEST(DispatchTest, DegenerateOptionsRejectedAtTheBoundary) {
       EXPECT_FALSE(r.ok()) << MethodToString(m) << " delta " << bad_delta;
       EXPECT_EQ(r.status().code(), util::StatusCode::kInvalidArgument);
     }
-    for (double bad_eps : {0.0, 1.5, -0.1}) {
+    for (double bad_eps :
+         {0.0, 1.5, -0.1, std::numeric_limits<double>::quiet_NaN()}) {
       MeasureOptions opts;
       opts.method = m;
       opts.epsilon = bad_eps;

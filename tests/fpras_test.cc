@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -56,6 +58,44 @@ TEST(FprasTest, RejectsNonlinear) {
                             rng);
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), util::StatusCode::kInvalidArgument);
+}
+
+TEST(FprasTest, RejectsBadEpsilon) {
+  // Both entry points check ε, NaN included: it sizes the sample budgets
+  // and inverts into the confidence interval.
+  RealFormula f = RealFormula::Cmp(Z(0) - Z(1), CmpOp::kLt);
+  auto bodies = BuildFprasBodies(f, FprasOptions{});
+  ASSERT_TRUE(bodies.ok());
+  for (double bad :
+       {std::numeric_limits<double>::quiet_NaN(), 0.0, -0.5, 1.5}) {
+    FprasOptions opts;
+    opts.epsilon = bad;
+    util::Rng rng(1);
+    auto end_to_end = FprasConjunctive(f, opts, rng);
+    EXPECT_FALSE(end_to_end.ok()) << bad;
+    EXPECT_EQ(end_to_end.status().code(), util::StatusCode::kInvalidArgument)
+        << bad;
+    auto back_half = FprasFromBodies(*bodies, opts, rng);
+    EXPECT_FALSE(back_half.ok()) << bad;
+    EXPECT_EQ(back_half.status().code(), util::StatusCode::kInvalidArgument)
+        << bad;
+  }
+}
+
+TEST(FprasTest, DnfOverTheCapIsResourceExhausted) {
+  // (a1 ∨ b1) ∧ ... ∧ (a13 ∨ b13) has 2^13 disjuncts, over the cap of 4096.
+  std::vector<RealFormula> clauses;
+  for (int i = 0; i < 13; ++i) {
+    std::vector<RealFormula> ors;
+    ors.push_back(RealFormula::Cmp(Z(2 * i), CmpOp::kLt));
+    ors.push_back(RealFormula::Cmp(Z(2 * i + 1), CmpOp::kLt));
+    clauses.push_back(RealFormula::Or(ors));
+  }
+  FprasOptions opts;
+  util::Rng rng(1);
+  auto r = FprasConjunctive(RealFormula::And(clauses), opts, rng);
+  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), util::StatusCode::kResourceExhausted);
 }
 
 TEST(FprasTest, HalfspaceIsHalf) {

@@ -1,6 +1,7 @@
 // Tests for the §10 probabilistic-measure extension (distributions on nulls).
 
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -63,9 +64,24 @@ TEST(DistributionTest, ToStringMentionsParameters) {
             std::string::npos);
 }
 
+TEST(ProbabilisticTest, RejectsBadEpsilon) {
+  // NaN fails like every other ε outside (0, 1], with a Status, before
+  // AfprasSampleCount's invariant check could abort.
+  for (double bad :
+       {std::numeric_limits<double>::quiet_NaN(), 0.0, -0.5, 1.5}) {
+    AfprasOptions opts;
+    opts.epsilon = bad;
+    util::Rng rng(1);
+    auto r = ProbabilisticMeasure(RealFormula::Cmp(Z(0), CmpOp::kLt),
+                                  {Distribution::Gaussian(0, 1)}, opts, rng);
+    EXPECT_FALSE(r.ok()) << bad;
+    EXPECT_EQ(r.status().code(), util::StatusCode::kInvalidArgument) << bad;
+  }
+}
+
 TEST(ProbabilisticTest, RejectsBadDelta) {
   // δ was previously forwarded unchecked into AfprasSampleCount.
-  for (double bad : {0.0, 1.0, 2.0}) {
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(), 0.0, 1.0, 2.0}) {
     AfprasOptions opts;
     opts.delta = bad;
     util::Rng rng(1);

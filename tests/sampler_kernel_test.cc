@@ -248,7 +248,8 @@ TEST(FusedKernelTest, BatchedLanesEquivalentToScalarAtEveryK) {
 
 TEST(FusedKernelTest, BatchedWalkLoopIsAllocationFree) {
   // Same contract as the scalar loop: after warm-up, lockstep walking must
-  // not allocate, and the count must not scale with steps.
+  // not allocate, and the count must not scale with steps — on the dense
+  // panel and on a listed lane subset alike.
   util::Rng body_rng(909);
   RandomBody rb = MakeRandomBody(5, body_rng);
   const int lanes = 8;
@@ -258,10 +259,13 @@ TEST(FusedKernelTest, BatchedWalkLoopIsAllocationFree) {
     lane_rngs.push_back(util::Rng(111 + l));
     batched.ResetLane(l, rb.inside);
   }
+  const int listed[] = {6, 1, 3};
+  util::Rng* listed_rngs[] = {&lane_rngs[6], &lane_rngs[1], &lane_rngs[3]};
   batched.WalkAll(100, lane_rngs.data());  // warm-up
   auto count_allocs = [&](int steps) {
     int64_t before = g_allocations.load(std::memory_order_relaxed);
     batched.WalkAll(steps, lane_rngs.data());
+    batched.WalkLanes(steps, listed, 3, listed_rngs);
     return g_allocations.load(std::memory_order_relaxed) - before;
   };
   int64_t allocs_small = count_allocs(500);

@@ -195,7 +195,8 @@ TEST(RngTest, EngineEmitsExactStdMt19937_64Sequence) {
   // The block-buffered engine is a drop-in std::mt19937_64: the raw bit
   // stream must match word for word. 2000 draws crosses several 312-word
   // refill blocks, so the twist's wrap-around segments are all exercised.
-  for (uint64_t seed : {uint64_t{1}, uint64_t{42}, uint64_t{0x9E3779B97F4A7C15ull}}) {
+  for (uint64_t seed :
+       {uint64_t{1}, uint64_t{42}, uint64_t{0x9E3779B97F4A7C15ull}}) {
     Rng rng(seed);
     std::mt19937_64 ref(seed);
     for (int i = 0; i < 2000; ++i) {
@@ -298,38 +299,24 @@ TEST(RngTest, BernoulliFrequency) {
 TEST(RngTest, GaussianFillMatchesScalarDraws) {
   // The strided fill is the scalar stream in panel layout, not a different
   // generator: every written slot must be bit-identical to the corresponding
-  // Gaussian() call, and untouched slots must stay untouched.
+  // Gaussian() call, untouched slots must stay untouched, and the returned
+  // norm² must be the sum of squares of the written deviates in draw order.
   for (int stride : {1, 3, 8}) {
     Rng fill_rng(77), scalar_rng(77);
     const int n = 257;  // enough draws to hit ziggurat slow paths
     std::vector<double> out(static_cast<size_t>(n) * stride, -1.0);
-    fill_rng.GaussianFill(n, out.data(), stride);
+    const double sq = fill_rng.GaussianFillSq(n, out.data(), stride);
+    double expected_sq = 0.0;
     for (int i = 0; i < n; ++i) {
-      EXPECT_EQ(out[static_cast<size_t>(i) * stride], scalar_rng.Gaussian())
+      const double v = out[static_cast<size_t>(i) * stride];
+      EXPECT_EQ(v, scalar_rng.Gaussian())
           << "stride " << stride << " draw " << i;
+      expected_sq += v * v;
       for (int pad = 1; pad < stride && i * stride + pad < n * stride; ++pad) {
         EXPECT_EQ(out[static_cast<size_t>(i) * stride + pad], -1.0);
       }
     }
-  }
-}
-
-TEST(RngTest, GaussianFillLanesBitIdenticalPerSubstream) {
-  // Lane i of the K-wide panel fill must reproduce scalar Gaussian() draws
-  // on substream i exactly — the contract that lets the batched sampling
-  // kernel share the scalar sampler's per-chain trajectories.
-  Rng base(2026);
-  const int lanes = 8, n = 513;
-  std::vector<Rng> lane_rngs;
-  for (int l = 0; l < lanes; ++l) lane_rngs.push_back(base.Split(l));
-  std::vector<double> panel(static_cast<size_t>(lanes) * n);
-  GaussianFillLanes(lane_rngs.data(), lanes, n, panel.data());
-  for (int l = 0; l < lanes; ++l) {
-    Rng scalar = base.Split(l);
-    for (int j = 0; j < n; ++j) {
-      ASSERT_EQ(panel[static_cast<size_t>(j) * lanes + l], scalar.Gaussian())
-          << "lane " << l << " draw " << j;
-    }
+    EXPECT_EQ(sq, expected_sq) << "stride " << stride;
   }
 }
 
