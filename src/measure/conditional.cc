@@ -14,7 +14,15 @@ util::StatusOr<AfprasResult> ConditionalAfpras(
   MUDB_RETURN_IF_ERROR(ValidateEpsilon(options.epsilon));
   MUDB_RETURN_IF_ERROR(ValidateDelta(options.delta));
   for (size_t i = 0; i < ranges.size(); ++i) {
-    if (ranges[i].bounded() && *ranges[i].lo > *ranges[i].hi) {
+    const VarRange& r = ranges[i];
+    // A NaN bound would fail every comparison, and an infinite one would
+    // make a bounded coordinate sample Uniform(lo, ∞). An infinite side is
+    // written by leaving that bound unset.
+    if ((r.lo && !std::isfinite(*r.lo)) || (r.hi && !std::isfinite(*r.hi))) {
+      return util::Status::InvalidArgument(
+          "non-finite range bound on variable z" + std::to_string(i));
+    }
+    if (r.bounded() && *r.lo > *r.hi) {
       return util::Status::InvalidArgument(
           "empty range on variable z" + std::to_string(i));
     }

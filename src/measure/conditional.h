@@ -38,6 +38,7 @@ namespace mudb::measure {
 
 /// An interval constraint on one variable. Unset bounds are infinite:
 /// both set → bounded; one set → half-line; none → free (agnostic default).
+/// A set bound must be finite.
 struct VarRange {
   std::optional<double> lo;
   std::optional<double> hi;
@@ -56,8 +57,9 @@ struct VarRange {
 using VarRanges = std::vector<VarRange>;
 
 /// Estimates μ_C(φ) for per-variable interval constraints C. Empty ranges
-/// reproduce the unconditional AFPRAS. Fails with InvalidArgument on an
-/// empty interval (lo > hi). Same Rng contract as Afpras: one Fork draw,
+/// reproduce the unconditional AFPRAS. Fails with InvalidArgument on a
+/// NaN or infinite bound and on an empty interval (lo > hi), naming the
+/// variable. Same Rng contract as Afpras: one Fork draw,
 /// sampling from substreams, bit-identical for any num_threads.
 util::StatusOr<AfprasResult> ConditionalAfpras(
     const constraints::RealFormula& formula, const VarRanges& ranges,

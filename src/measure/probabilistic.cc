@@ -6,22 +6,34 @@
 namespace mudb::measure {
 
 Distribution Distribution::Uniform(double lo, double hi) {
-  MUDB_CHECK(lo <= hi);
   return Distribution(Kind::kUniform, lo, hi);
 }
 
 Distribution Distribution::Gaussian(double mean, double sd) {
-  MUDB_CHECK(sd > 0);
   return Distribution(Kind::kGaussian, mean, sd);
 }
 
 Distribution Distribution::Exponential(double rate) {
-  MUDB_CHECK(rate > 0);
   return Distribution(Kind::kExponential, rate, 0);
 }
 
 Distribution Distribution::Point(double value) {
   return Distribution(Kind::kPoint, value, 0);
+}
+
+bool Distribution::valid() const {
+  if (!std::isfinite(a_) || !std::isfinite(b_)) return false;
+  switch (kind_) {
+    case Kind::kUniform:
+      return a_ <= b_;
+    case Kind::kGaussian:
+      return b_ > 0;
+    case Kind::kExponential:
+      return a_ > 0;
+    case Kind::kPoint:
+      return true;
+  }
+  return false;
 }
 
 double Distribution::Sample(util::Rng& rng) const {
@@ -80,6 +92,12 @@ util::StatusOr<AfprasResult> ProbabilisticMeasure(
     if (static_cast<size_t>(v) >= dists.size()) {
       return util::Status::InvalidArgument(
           "no distribution for variable z" + std::to_string(v));
+    }
+    if (!dists[v].valid()) {
+      return util::Status::InvalidArgument("invalid distribution " +
+                                           dists[v].ToString() +
+                                           " for variable z" +
+                                           std::to_string(v));
     }
   }
   const int dim = static_cast<int>(dists.size());

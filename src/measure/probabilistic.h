@@ -20,12 +20,14 @@
 
 namespace mudb::measure {
 
-/// A one-dimensional sampling distribution for a numeric null.
+/// A one-dimensional sampling distribution for a numeric null. The
+/// factories accept any parameters; ProbabilisticMeasure rejects the
+/// invalid ones (valid() is false) with a Status.
 class Distribution {
  public:
   enum class Kind { kUniform, kGaussian, kExponential, kPoint };
 
-  /// Uniform on [lo, hi].
+  /// Uniform on [lo, hi] (lo <= hi).
   static Distribution Uniform(double lo, double hi);
   /// Normal with the given mean and standard deviation (sd > 0).
   static Distribution Gaussian(double mean, double sd);
@@ -36,6 +38,8 @@ class Distribution {
   static Distribution Point(double value);
 
   Kind kind() const { return kind_; }
+  /// Every parameter is finite, and lo <= hi, sd > 0, rate > 0.
+  bool valid() const;
   double Sample(util::Rng& rng) const;
   std::string ToString() const;
 
@@ -48,7 +52,8 @@ class Distribution {
 };
 
 /// Estimates P(φ(z)) when z_i ~ dists[i] independently. Every variable used
-/// by φ must have a distribution (InvalidArgument otherwise).
+/// by φ must have a valid distribution (InvalidArgument naming z_i
+/// otherwise).
 util::StatusOr<AfprasResult> ProbabilisticMeasure(
     const constraints::RealFormula& formula,
     const std::vector<Distribution>& dists, const AfprasOptions& options,

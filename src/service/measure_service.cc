@@ -1,8 +1,10 @@
 #include "src/service/measure_service.h"
 
+#include <cstdio>
+#include <string>
+
 #include "src/obs/trace.h"
 #include "src/service/request_key.h"
-#include "src/service/service_errors.h"
 #include "src/util/timer.h"
 
 namespace mudb::service {
@@ -10,17 +12,37 @@ namespace mudb::service {
 namespace {
 
 // Cache sizing. An entry is ~100 bytes, so each cache stays around half a
-// megabyte; shards are a power of two.
+// megabyte.
 constexpr size_t kBodyCacheCapacity = 4096;
 constexpr size_t kResultCacheCapacity = 4096;
-constexpr int kCacheShards = 8;
+
+// Short stable prefix of a request signature ("req:9f3a6b21"): enough bits
+// to name a request in a trace or an error message without printing all
+// 128. The signature is a pure function of the request, so the prefix is
+// greppable across runs.
+std::string SignaturePrefix(const convex::CanonicalBodyKey& key) {
+  char buf[16];
+  std::snprintf(buf, sizeof(buf), "req:%08x",
+                static_cast<unsigned>(key.fp.hi >> 32));
+  return buf;
+}
+
+// Prepends "[req:<prefix>] " to a failing status's message, keeping the
+// code, so one bad request in a batch of dozens is attributable from its
+// status alone.
+util::Status AnnotateRequestError(util::Status status,
+                                  const convex::CanonicalBodyKey& signature) {
+  if (status.ok()) return status;
+  return util::Status(status.code(), "[" + SignaturePrefix(signature) + "] " +
+                                         status.message());
+}
 
 }  // namespace
 
 MeasureService::MeasureService(const ServiceOptions& options)
     : pool_(util::ThreadPool::ResolveThreadCount(options.num_threads)),
-      body_cache_(EstimateCache::Options{kBodyCacheCapacity, kCacheShards}),
-      result_cache_(kResultCacheCapacity, kCacheShards) {}
+      body_cache_(kBodyCacheCapacity),
+      result_cache_(kResultCacheCapacity) {}
 
 util::StatusOr<measure::MeasureResult> MeasureService::Process(
     const MeasureRequest& request, BatchStats* stats) {
@@ -61,8 +83,6 @@ util::StatusOr<measure::MeasureResult> MeasureService::Process(
   if (opts.body_cache == nullptr) opts.body_cache = &body_cache_;
   util::StatusOr<measure::MeasureResult> result = ComputeNu(formula, opts);
   if (!result.ok()) {
-    // Execution failures name the request so one bad request in a batch of
-    // dozens is attributable from its status alone:
     // "[req:9f3a6b21] <engine message>".
     return AnnotateRequestError(result.status(), signature);
   }

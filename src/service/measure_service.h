@@ -6,11 +6,13 @@
 //
 //   * every grounded constraint system is canonicalized into
 //     content-addressed keys (convex/canonical.h), and identical convex
-//     bodies are deduplicated within and across requests through a sharded,
-//     size-bounded EstimateCache — each unique body is sampled once per
+//     bodies are deduplicated within and across requests through a
+//     size-bounded LRU EstimateCache — each unique body is sampled once per
 //     (ε tier, seed path), then every later occurrence is a cache hit;
 //   * whole results are memoized by request signature (request_key.h), so a
-//     repeated candidate skips sampling entirely;
+//     repeated candidate skips sampling entirely. This is the serving
+//     layer's one result memo: a RankingSession replays its warm tiers
+//     through it (ranking_session.h);
 //   * RunBatch executes its requests in order on the calling thread, and
 //     each request's estimator runs on the service's util::ThreadPool — the
 //     same parallel sampling runtime the direct API uses.
@@ -124,7 +126,7 @@ class MeasureService {
 
   util::ThreadPool pool_;
   EstimateCache body_cache_;
-  ShardedLruCache<measure::MeasureResult> result_cache_;
+  LruCache<measure::MeasureResult> result_cache_;
 
   mutable std::mutex mu_;  // held across RunBatch; guards lifetime_
   BatchStats lifetime_;

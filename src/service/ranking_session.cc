@@ -11,11 +11,15 @@
 
 #include "src/obs/trace.h"
 #include "src/service/request_key.h"
-#include "src/service/service_errors.h"
 
 namespace mudb::service {
 
 namespace {
+
+// Names a session candidate in delta validation errors ("candidate 5").
+std::string CandidateRef(CandidateId id) {
+  return "candidate " + std::to_string(id);
+}
 
 // The k-th largest estimate among the active candidates — the running cut
 // the schedule measures each open candidate's gap from. Falls back to the
@@ -146,23 +150,6 @@ RankingSession::Slot* RankingSession::FindSlot(CandidateId id) {
   return &*it;
 }
 
-void RankingSession::ReleaseSlot(Slot& slot) {
-  for (const convex::CanonicalBodyKey& sig : slot.owned_sigs) {
-    auto it = memo_.find(sig);
-    if (it != memo_.end() && --it->second.refs <= 0) memo_.erase(it);
-  }
-  slot.owned_sigs.clear();
-}
-
-void RankingSession::TakeRef(Slot& slot,
-                             const convex::CanonicalBodyKey& sig) {
-  for (const convex::CanonicalBodyKey& owned : slot.owned_sigs) {
-    if (owned == sig) return;  // this slot already holds a reference
-  }
-  slot.owned_sigs.push_back(sig);
-  ++memo_[sig].refs;
-}
-
 util::Status RankingSession::ApplyDelta(RankingDelta&& delta,
                                         RerankOutcome* outcome) {
   obs::Span span("ranking.apply_delta");
@@ -173,8 +160,6 @@ util::Status RankingSession::ApplyDelta(RankingDelta&& delta,
   }
   // Validate EVERYTHING before touching the session, so a bad delta is
   // all-or-nothing.
-  // Error references go through service_errors.h (CandidateRef) so session
-  // messages stay format-uniform with the rest of the serving layer.
   std::unordered_set<CandidateId> removed;
   for (CandidateId id : delta.removals) {
     if (FindSlot(id) == nullptr || removed.count(id) > 0) {
@@ -202,27 +187,19 @@ util::Status RankingSession::ApplyDelta(RankingDelta&& delta,
   }
 
   // Commit: removals → updates → inserts.
-  for (CandidateId id : delta.removals) {
-    auto it = std::lower_bound(
-        candidates_.begin(), candidates_.end(), id,
-        [](const Slot& slot, CandidateId value) { return slot.id < value; });
-    ReleaseSlot(*it);
-    candidates_.erase(it);
-  }
+  candidates_.erase(
+      std::remove_if(candidates_.begin(), candidates_.end(),
+                     [&](const Slot& slot) { return removed.count(slot.id); }),
+      candidates_.end());
   for (auto& [id, request] : delta.updates) {
     Slot& slot = *FindSlot(id);
     convex::CanonicalBodyKey key =
         RequestSignature(*request.formula, request.options);
-    if (key == slot.content_key) {
-      // Identical content: the mutation is a no-op and every warm tier
-      // survives (this is the content-keyed part of invalidation).
-      slot.request = std::move(request);
-      continue;
-    }
-    ReleaseSlot(slot);
+    // Identical content is a no-op: every warm tier keeps its signature
+    // (this is the content-keyed part of invalidation).
+    if (key != slot.content_key) ++outcome->invalidated;
     slot.request = std::move(request);
     slot.content_key = key;
-    ++outcome->invalidated;
   }
   for (MeasureRequest& request : delta.inserts) {
     Slot slot;
@@ -262,44 +239,22 @@ util::Status RankingSession::RunLadder(RerankOutcome* outcome) {
   std::optional<double> tier_eps = kRankingCoarseEpsilon;
 
   for (size_t t = 0;; ++t) {
-    // Assemble the tier from the unfinished survivors. A tier ε at or below
-    // a candidate's own ε clamps to the final precision — that request IS
-    // the candidate's final evaluation.
-    struct Pending {
-      size_t idx;
-      double eps;
-      convex::CanonicalBodyKey sig;
-      bool warm;
-    };
-    std::vector<Pending> needed;
-    std::vector<size_t> batch_pending;  // positions in `needed` sent out
+    // Assemble the tier from the unfinished survivors, ascending by id. A
+    // tier ε at or below a candidate's own ε clamps to the final precision
+    // — that request IS the candidate's final evaluation.
+    std::vector<size_t> members;
     std::vector<MeasureRequest> batch;
     for (size_t i = 0; i < n; ++i) {
       if (!active[i] || frozen[i]) continue;
-      Slot& slot = candidates_[i];
-      double eps = tier_eps.has_value() ? *tier_eps : final_eps[i];
-      if (eps <= final_eps[i]) eps = final_eps[i];
-      MeasureRequest request = slot.request;
-      request.options.epsilon = eps;
+      MeasureRequest request = candidates_[i].request;
+      request.options.epsilon =
+          tier_eps.has_value() ? std::max(*tier_eps, final_eps[i])
+                               : final_eps[i];
       request.options.delta = tier_delta;
-      Pending pending;
-      pending.idx = i;
-      pending.eps = eps;
-      pending.sig = RequestSignature(*request.formula, request.options);
-      auto memo_it = memo_.find(pending.sig);
-      pending.warm = memo_it != memo_.end();
-      if (pending.warm) {
-        outcome->candidates[i].result = memo_it->second.result;
-        ++outcome->warm_hits;
-        TakeRef(slot, pending.sig);
-      } else {
-        batch_pending.push_back(needed.size());
-        batch.push_back(std::move(request));
-      }
-      needed.push_back(pending);
+      members.push_back(i);
+      batch.push_back(std::move(request));
     }
-    if (needed.empty()) break;  // every surviving candidate is finished
-    outcome->evaluations += static_cast<int64_t>(needed.size());
+    if (batch.empty()) break;  // every surviving candidate is finished
 
     // One span per executed ε-tier: the batch it submitted parents under
     // it, so a trace reads as rerank → tier → process → estimator phases.
@@ -308,33 +263,25 @@ util::Status RankingSession::RunLadder(RerankOutcome* outcome) {
       tier_span.Annotate("tier", static_cast<double>(t));
       tier_span.Annotate("eps", tier_eps.has_value() ? *tier_eps : 0.0);
       tier_span.Annotate("final", tier_eps.has_value() ? 0.0 : 1.0);
-      tier_span.Annotate("evaluations", static_cast<double>(needed.size()));
-      tier_span.Annotate("batched", static_cast<double>(batch.size()));
+      tier_span.Annotate("evaluations", static_cast<double>(batch.size()));
     }
 
-    if (!batch.empty()) {
-      MeasureService::BatchOutcome tier = service_->RunBatch(std::move(batch));
-      outcome->tier_stats.push_back(tier.stats);
-      for (size_t b = 0; b < batch_pending.size(); ++b) {
-        const Pending& pending = needed[batch_pending[b]];
-        // batch order ascends by id, so the propagated error is
-        // deterministically the lowest-id failure.
-        if (!tier.results[b].ok()) return tier.results[b].status();
-        outcome->candidates[pending.idx].result = *tier.results[b];
-        memo_.try_emplace(pending.sig, MemoEntry{*tier.results[b], 0});
-        TakeRef(candidates_[pending.idx], pending.sig);
-      }
-    } else {
-      // All-warm tier: the replay walked it, the service never saw it.
-      outcome->tier_stats.push_back(BatchStats{});
-    }
-
-    for (const Pending& pending : needed) {
-      SessionCandidate& cand = outcome->candidates[pending.idx];
+    // Warm evaluations are request-memo hits inside the batch.
+    MeasureService::BatchOutcome tier = service_->RunBatch(std::move(batch));
+    outcome->tier_stats.push_back(tier.stats);
+    outcome->evaluations += tier.stats.requests;
+    outcome->warm_hits += tier.stats.request_cache_hits;
+    for (size_t b = 0; b < members.size(); ++b) {
+      // members ascend by id, so the propagated error is deterministically
+      // the lowest-id failure.
+      if (!tier.results[b].ok()) return tier.results[b].status();
+      const size_t i = members[b];
+      SessionCandidate& cand = outcome->candidates[i];
+      cand.result = *tier.results[b];
       cand.result.tier = static_cast<int>(t);
-      if (cand.result.is_exact || pending.eps == final_eps[pending.idx]) {
-        frozen[pending.idx] = true;
-      }
+      const bool at_final_eps =
+          !tier_eps.has_value() || *tier_eps <= final_eps[i];
+      if (cand.result.is_exact || at_final_eps) frozen[i] = true;
     }
 
     // Prune: drop every unfinished candidate whose upper bound falls

@@ -12,24 +12,32 @@
 //
 // How incrementality works — replay, don't patch. Every tier evaluation the
 // ladder performs is a pure function of its request signature
-// (request_key.h: formula content × method × ε × δ × seed), so the session
-// keeps a memo from signature to result. Rerank re-runs the full ladder
-// decision procedure over the current candidate set from tier 0 — pruning
-// thresholds, freezes, and the tier schedule are all recomputed — but
-// every evaluation whose signature is warm is served from the memo for free
-// (bit-identical to recomputation, zero sampling steps); only signatures
-// the memo has never seen reach the MeasureService. The decision procedure
-// itself costs microseconds; the samples are the expense, and those are
-// what the memo elides.
+// (request_key.h: formula content × method × ε × δ × seed), and the
+// MeasureService memoizes results by that signature. Rerank re-runs the
+// full ladder decision procedure over the current candidate set from tier
+// 0 — pruning thresholds, freezes, and the tier schedule are all
+// recomputed — and sends every tier's unfinished survivors to
+// MeasureService::RunBatch. Each evaluation whose signature is warm is a
+// request-memo hit (bit-identical to recomputation, zero sampling steps);
+// only signatures the service has never seen are sampled. The decision
+// procedure itself costs microseconds; the samples are the expense, and
+// those are what the memo elides. The session keeps no memo of its own.
 //
 // Invalidation is content-keyed, not positional and not wall-clock: a
 // mutated candidate's new grounded formula produces new signatures, so its
-// stale entries are simply never looked up again (their refcounts drop and
-// they are garbage-collected); a mutation that grounds to the identical
-// content is a no-op and keeps every warm interval. Untouched candidates
-// keep their warm tiers and pay nothing — unless the ranking's pruning
-// threshold moved enough that the replay walks them through a tier they
-// never ran before, in which case exactly those new tiers are sampled.
+// stale results are simply never looked up again; a mutation that grounds
+// to the identical content is a no-op and keeps every warm interval.
+// Untouched candidates keep their warm tiers and pay nothing — unless the
+// ranking's pruning threshold moved enough that the replay walks them
+// through a tier they never ran before, in which case exactly those new
+// tiers are sampled.
+//
+// What stays warm: the service's request memo is a bounded LRU
+// (MeasureService holds 4096 results), shared by every session and batch
+// on that service. Traffic that pushes a session's warm tiers out of it
+// costs a bit-identical re-sample on the next Rerank — never a different
+// result — and the memory a session pins is bounded by the memo, not by
+// every signature its live candidates ever ran.
 //
 // Determinism contract (the rerank contract): top_k, and every candidate's
 // result / pruned / frozen fields, are a pure function of the session's
@@ -39,7 +47,8 @@
 // final candidate set (a fresh session, or RankTopK when ids are dense) —
 // ranking_session_test asserts this at 1 and 8 threads.
 // Only the schedule accounting (tier_stats, warm_hits,
-// total_sampling_steps) depends on history: it reports what THIS call paid.
+// total_sampling_steps) depends on history — this session's and every other
+// caller's on the same service: it reports what THIS call paid.
 //
 // One caveat the contract depends on: with the default δ/(N·T) split, a
 // delta that changes N re-budgets every request's δ, which changes every
@@ -54,7 +63,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -78,7 +86,7 @@ struct RankingDelta {
   /// New candidates; ids are assigned in order and returned in
   /// RerankOutcome::inserted_ids.
   std::vector<MeasureRequest> inserts;
-  /// Candidates to drop (their warm estimates are released).
+  /// Candidates to drop.
   std::vector<CandidateId> removals;
   /// Body mutations: the candidate's request is replaced wholesale (the
   /// grounded content decides invalidation — an update that grounds to the
@@ -107,13 +115,16 @@ struct RerankOutcome {
   std::vector<SessionCandidate> candidates;
   /// Ids assigned to this delta's inserts, positionally aligned.
   std::vector<CandidateId> inserted_ids;
-  /// Accounting for what THIS call executed (history-dependent): one entry
-  /// per tier the replay walked; all-warm tiers report zero requests.
+  /// Accounting for what THIS call executed (history-dependent): one
+  /// RunBatch per tier the replay walked. A warm evaluation counts as a
+  /// request that hit the request memo, so an all-warm tier reports
+  /// requests == request_cache_hits and zero sampling steps.
   std::vector<BatchStats> tier_stats;
   /// Hit-and-run steps this call actually sampled (Σ tier_stats).
   int64_t total_sampling_steps = 0;
-  /// Tier evaluations the ladder consumed, and how many of them the
-  /// session memo served without touching the service.
+  /// Tier evaluations the ladder consumed (Σ tier_stats[t].requests), and
+  /// how many of them the request memo served without sampling
+  /// (Σ tier_stats[t].request_cache_hits).
   int64_t evaluations = 0;
   int64_t warm_hits = 0;
   /// Updated candidates whose new content invalidated their warm state
@@ -148,33 +159,23 @@ class RankingSession {
 
   /// Live candidate count.
   size_t num_candidates() const { return candidates_.size(); }
-  /// Warm per-tier results currently retained across all candidates.
-  size_t memo_size() const { return memo_.size(); }
 
  private:
   struct Slot {
     CandidateId id = 0;
     MeasureRequest request;  // validated: carries a formula
-    convex::CanonicalBodyKey content_key;  // signature of (content, options)
-    std::vector<convex::CanonicalBodyKey> owned_sigs;  // memo refs held
+    // Signature of (content, options); an update that changes it counts
+    // as invalidated.
+    convex::CanonicalBodyKey content_key;
   };
-  struct MemoEntry {
-    measure::MeasureResult result;
-    int64_t refs = 0;
-  };
-  using MemoMap = std::unordered_map<convex::CanonicalBodyKey, MemoEntry,
-                                     convex::CanonicalBodyKey::Hash>;
 
   util::Status ApplyDelta(RankingDelta&& delta, RerankOutcome* outcome);
-  void ReleaseSlot(Slot& slot);
-  void TakeRef(Slot& slot, const convex::CanonicalBodyKey& sig);
   util::Status RunLadder(RerankOutcome* outcome);
   Slot* FindSlot(CandidateId id);
 
   MeasureService* service_;
   RankingOptions options_;
   std::vector<Slot> candidates_;  // ascending id
-  MemoMap memo_;
   CandidateId next_id_ = 0;
 };
 

@@ -61,7 +61,7 @@ struct CachedBodyEstimate {
 /// key × raw representation × estimation tier × seed path (the key passed
 /// in is already the combination, see convex::CombineKeyWithParams).
 /// Implementations must be safe for concurrent Lookup/Insert; the concrete
-/// sharded LRU lives in src/service/estimate_cache.h. Because estimates
+/// LRU lives in src/service/estimate_cache.h. Because estimates
 /// are pure functions of their key, a Lookup hit is bit-identical to
 /// recomputation — a cache can only save work, never change a result.
 class BodyEstimateCache {

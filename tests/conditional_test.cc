@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -35,11 +36,25 @@ TEST(ConditionalTest, EmptyRangesMatchUnconditional) {
 }
 
 TEST(ConditionalTest, RejectsEmptyInterval) {
-  RealFormula f = RealFormula::Cmp(Z(0), CmpOp::kLt);
-  util::Rng rng(1);
-  auto cond = ConditionalAfpras(f, {VarRange::Between(2, 1)}, ManySamples(),
-                                rng);
-  EXPECT_FALSE(cond.ok());
+  // An empty interval, and any NaN or infinite bound: a NaN passes the
+  // lo > hi test, a half-line never reads its bound, and an infinite side
+  // of Between would sample Uniform(lo, ∞). An infinite side is written by
+  // leaving the bound unset.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  RealFormula f = RealFormula::Cmp(Z(0) - C(1), CmpOp::kLt);
+  for (const VarRange& bad :
+       {VarRange::Between(2, 1), VarRange::Between(nan, 2),
+        VarRange::Between(0, nan), VarRange::AtLeast(nan),
+        VarRange::AtMost(nan), VarRange::Between(0, inf),
+        VarRange::Between(-inf, 2)}) {
+    util::Rng rng(1);
+    auto cond = ConditionalAfpras(f, {bad}, ManySamples(), rng);
+    ASSERT_FALSE(cond.ok()) << cond->estimate;
+    EXPECT_EQ(cond.status().code(), util::StatusCode::kInvalidArgument);
+    EXPECT_NE(cond.status().message().find("z0"), std::string::npos)
+        << cond.status();
+  }
 }
 
 TEST(ConditionalTest, RejectsBadEpsilon) {
@@ -198,6 +213,12 @@ TEST(ConditionalTest, EndToEndThroughGrounding) {
   auto h = ComputeConditionalMeasure(*q, db, {}, nonneg, opts);
   ASSERT_TRUE(h.ok());
   EXPECT_NEAR(h->value, 1.0, 1e-9);
+  // ⊤ >= NaN is no constraint at all: it fails instead of reading as free.
+  NullRanges nan_bound{
+      {top.null_id(),
+       VarRange::AtLeast(std::numeric_limits<double>::quiet_NaN())}};
+  auto n = ComputeConditionalMeasure(*q, db, {}, nan_bound, opts);
+  EXPECT_EQ(n.status().code(), util::StatusCode::kInvalidArgument);
 }
 
 // Property: with all-free ranges the conditional estimator agrees with the

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -89,6 +90,26 @@ TEST(ProbabilisticTest, RejectsBadDelta) {
                                   {Distribution::Gaussian(0, 1)}, opts, rng);
     EXPECT_FALSE(r.ok()) << bad;
     EXPECT_EQ(r.status().code(), util::StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(ProbabilisticTest, RejectsInvalidDistributionParameters) {
+  // A non-finite parameter would sample NaN or ±∞ and report a confident
+  // wrong answer, and lo > hi, sd <= 0 or rate <= 0 define no distribution:
+  // each resolves to a Status naming the variable, never an abort.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  RealFormula f = RealFormula::Cmp(Z(0) - C(1), CmpOp::kLt);
+  for (const Distribution& bad :
+       {Distribution::Point(nan), Distribution::Uniform(0, inf),
+        Distribution::Gaussian(inf, 1), Distribution::Uniform(2, 1),
+        Distribution::Gaussian(0, 0), Distribution::Exponential(0)}) {
+    util::Rng rng(1);
+    auto r = ProbabilisticMeasure(f, {bad}, ManySamples(), rng);
+    ASSERT_FALSE(r.ok()) << bad.ToString();
+    EXPECT_EQ(r.status().code(), util::StatusCode::kInvalidArgument);
+    EXPECT_NE(r.status().message().find("z0"), std::string::npos)
+        << r.status();
   }
 }
 

@@ -4,9 +4,10 @@
 // final state, at any thread count, for any delta sequence), the cost of a
 // one-candidate delta (at most a quarter of the cold schedule's sampling
 // steps), content-keyed invalidation (identical-content updates keep every
-// warm tier), streaming inserts/removals under per_estimate_delta, the tier
-// schedule and its tier budget, all-or-nothing delta failures (a repeated
-// update id included), and introspection.
+// warm tier), warm tiers served by the service's request memo to any
+// session on that service, streaming inserts/removals under
+// per_estimate_delta, the tier schedule and its tier budget, all-or-nothing
+// delta failures (a repeated update id included), and introspection.
 
 #include <algorithm>
 #include <cmath>
@@ -21,7 +22,6 @@
 #include "src/service/measure_service.h"
 #include "src/service/ranking_service.h"
 #include "src/service/ranking_session.h"
-#include "src/service/service_errors.h"
 
 namespace mudb::service {
 namespace {
@@ -172,12 +172,35 @@ TEST(RankingSessionTest, EmptyRerankReplaysEntirelyWarm) {
   EXPECT_EQ(replay->total_sampling_steps, 0);
   EXPECT_EQ(replay->warm_hits, replay->evaluations);
   EXPECT_EQ(replay->invalidated, 0);
-  // The replay walks the same tiers; it just never touches the service.
+  // The replay walks the same tiers, and the request memo answers every
+  // evaluation of each one without sampling.
   ASSERT_EQ(replay->tier_stats.size(), cold->tier_stats.size());
-  for (const BatchStats& stats : replay->tier_stats) {
-    EXPECT_EQ(stats.requests, 0);
-    EXPECT_EQ(stats.sampling_steps, 0);
+  for (size_t t = 0; t < replay->tier_stats.size(); ++t) {
+    const BatchStats& stats = replay->tier_stats[t];
+    EXPECT_EQ(stats.requests, cold->tier_stats[t].requests) << t;
+    EXPECT_EQ(stats.requests, stats.request_cache_hits) << t;
+    EXPECT_EQ(stats.sampling_steps, 0) << t;
   }
+}
+
+TEST(RankingSessionTest, SecondSessionOnOneServiceIsEntirelyWarm) {
+  // Warm tiers live in the service's request memo, not in a session: a
+  // second session ranking the same battery on the same service samples
+  // nothing, and warm_hits counts every evaluation the memo served.
+  MeasureService service;
+  RankingSession first(&service, WedgeRanking());
+  auto cold = first.Rerank(InsertAll(WedgeBattery()));
+  ASSERT_TRUE(cold.ok()) << cold.status();
+  ASSERT_GT(cold->total_sampling_steps, 0);
+
+  RankingSession second(&service, WedgeRanking());
+  auto warm = second.Rerank(InsertAll(WedgeBattery()));
+  ASSERT_TRUE(warm.ok()) << warm.status();
+  ExpectSameRanking(*cold, *warm);
+  EXPECT_EQ(warm->evaluations, cold->evaluations);
+  EXPECT_GT(warm->evaluations, 0);
+  EXPECT_EQ(warm->total_sampling_steps, 0);
+  EXPECT_EQ(warm->warm_hits, warm->evaluations);
 }
 
 TEST(RankingSessionTest, IdenticalContentUpdateIsANoOp) {
@@ -433,7 +456,7 @@ TEST(RankingSessionTest, BadDeltasAreAllOrNothing) {
   auto twice_outcome = session.Rerank(std::move(twice));
   EXPECT_EQ(twice_outcome.status().code(),
             util::StatusCode::kInvalidArgument);
-  EXPECT_NE(twice_outcome.status().message().find(CandidateRef(5)),
+  EXPECT_NE(twice_outcome.status().message().find("candidate 5"),
             std::string::npos)
       << twice_outcome.status();
 
@@ -479,26 +502,20 @@ TEST(RankingSessionTest, EvaluationFailureLeavesTheSessionRecoverable) {
   EXPECT_GT(repaired->warm_hits, 0);
 }
 
-TEST(RankingSessionTest, IntrospectionTracksSlotsAndMemo) {
-  // Streaming options so the removal below does not re-budget δ (which
-  // would mint fresh signatures and grow the memo right back).
+TEST(RankingSessionTest, IntrospectionTracksSlots) {
   MeasureService service;
   RankingSession session(&service, StreamingRanking());
   EXPECT_EQ(session.num_candidates(), 0u);
-  EXPECT_EQ(session.memo_size(), 0u);
 
   auto cold = session.Rerank(InsertAll(WedgeBattery()));
   ASSERT_TRUE(cold.ok()) << cold.status();
   EXPECT_EQ(session.num_candidates(), static_cast<size_t>(kWedges));
-  EXPECT_GT(session.memo_size(), 0u);
 
-  // Removal releases the slot and its memo references.
-  size_t memo_before = session.memo_size();
+  // Removal releases the slot.
   RankingDelta remove7;
   remove7.removals.push_back(7);
   ASSERT_TRUE(session.Rerank(std::move(remove7)).ok());
   EXPECT_EQ(session.num_candidates(), static_cast<size_t>(kWedges) - 1);
-  EXPECT_LT(session.memo_size(), memo_before);
 
   // Ids are never reused: the next insert continues the counter.
   RankingDelta insert;
