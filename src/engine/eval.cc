@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <string>
 #include <unordered_map>
 
 namespace mudb::engine {
@@ -22,6 +23,23 @@ using model::Value;
 using poly::Polynomial;
 
 constexpr char kKeySep = '\x1f';
+/// Starts a base null's index-key spelling. A constant that spells the same
+/// key only lands in the same bucket; BindTuple re-checks every probed
+/// position by value, so it never joins.
+constexpr char kNullTag = '\0';
+/// Witnesses enumerated before EvaluateCq gives up with ResourceExhausted.
+constexpr size_t kMaxWitnesses = 50'000'000;
+
+/// Appends base value `v` to a probe or index key.
+void AppendKey(const Value& v, std::string* key) {
+  if (v.kind() == Value::Kind::kBaseConst) {
+    *key += v.base_const();
+  } else {
+    *key += kNullTag;
+    *key += std::to_string(v.null_id());
+  }
+  *key += kKeySep;
+}
 
 struct PlannedAtom {
   const CqAtom* atom;
@@ -37,17 +55,8 @@ struct PlannedAtom {
 
 class Evaluator {
  public:
-  Evaluator(const Database& db, const ConjunctiveQuery& cq,
-            const EvalOptions& options)
-      : cq_(cq), options_(options) {
-    vbase_ = model::MakeBijectiveBaseValuation(db);
-    vdb_ = vbase_.Apply(db);
-    // mudb-lint: allow(no-unordered-iteration-in-results) -- fills the
-    // std::map null_names_; the valuation is bijective, so keys are
-    // unique and the map is independent of hash iteration order.
-    for (const auto& [id, name] : vbase_.base_map()) {
-      null_names_.emplace(name, Value::BaseNull(id));
-    }
+  Evaluator(const Database& db, const ConjunctiveQuery& cq)
+      : db_(db), cq_(cq) {
     for (NullId id : db.CollectNumNullIds()) {
       z_index_.emplace(id, static_cast<int>(null_order_.size()));
       null_order_.push_back(id);
@@ -55,7 +64,7 @@ class Evaluator {
   }
 
   util::StatusOr<EvalResult> Run() {
-    MUDB_RETURN_IF_ERROR(cq_.Validate(vdb_));
+    MUDB_RETURN_IF_ERROR(cq_.Validate(db_));
     RewriteBaseEqualities();
     EvalResult empty;
     empty.null_order = null_order_;
@@ -171,7 +180,7 @@ class Evaluator {
       for (size_t i = 0; i < n; ++i) {
         if (placed[i]) continue;
         MUDB_ASSIGN_OR_RETURN(const Relation* rel,
-                              vdb_.GetRelation(rewritten_.atoms[i].relation));
+                              db_.GetRelation(rewritten_.atoms[i].relation));
         size_t probe = bound_base_positions(rewritten_.atoms[i]).size();
         size_t size = rel->size();
         if (best < 0 || probe > best_probe ||
@@ -183,7 +192,7 @@ class Evaluator {
       }
       const CqAtom& atom = rewritten_.atoms[best];
       MUDB_ASSIGN_OR_RETURN(const Relation* rel,
-                            vdb_.GetRelation(atom.relation));
+                            db_.GetRelation(atom.relation));
       PlannedAtom planned;
       planned.atom = &atom;
       planned.relation = rel;
@@ -237,10 +246,7 @@ class Evaluator {
   static std::string TupleKey(const Tuple& t,
                               const std::vector<size_t>& positions) {
     std::string key;
-    for (size_t i : positions) {
-      key += t[i].base_const();
-      key += kKeySep;
-    }
+    for (size_t i : positions) AppendKey(t[i], &key);
     return key;
   }
 
@@ -257,8 +263,8 @@ class Evaluator {
   util::StatusOr<Polynomial> TermToPoly(const Term& t) const {
     switch (t.kind()) {
       case Term::Kind::kVar: {
-        auto it = num_env_.find(t.var_name());
-        MUDB_CHECK(it != num_env_.end());
+        auto it = env_.find(t.var_name());
+        MUDB_CHECK(it != env_.end());
         return ValueToPoly(it->second);
       }
       case Term::Kind::kConst:
@@ -281,22 +287,17 @@ class Evaluator {
     return util::Status::Internal("unreachable term kind");
   }
 
-  // Outcome of trying to add a constraint along the current branch.
-  enum class Add { kOk, kDead };
-
-  // Adds `poly op 0`; folds constants, prunes measure-zero equalities.
-  Add AddConstraint(Polynomial poly, CmpOp op) {
+  // Adds `poly op 0` to the current branch; returns false if the branch
+  // dies. Folds constants, prunes measure-zero equalities.
+  bool AddConstraint(Polynomial poly, CmpOp op) {
     if (poly.IsConstant()) {
       double c = poly.ConstantTerm();
       int sign = c > 0 ? 1 : (c < 0 ? -1 : 0);
-      return constraints::CmpTruthFromSign(op, sign) ? Add::kOk : Add::kDead;
+      return constraints::CmpTruthFromSign(op, sign);
     }
-    if (op == CmpOp::kEq && options_.prune_measure_zero) {
-      return Add::kDead;  // nontrivial equality on nulls: measure zero
-    }
-    branch_atoms_.push_back(
-        RealFormula::Cmp(std::move(poly), op));
-    return Add::kOk;
+    if (op == CmpOp::kEq) return false;  // equality on nulls: measure zero
+    branch_atoms_.push_back(RealFormula::Cmp(std::move(poly), op));
+    return true;
   }
 
   util::Status Enumerate(size_t depth) {
@@ -308,8 +309,7 @@ class Evaluator {
 
     auto try_tuple = [&](size_t row) -> util::Status {
       const Tuple& t = tuples[row];
-      size_t base_trail = base_trail_.size();
-      size_t num_trail = num_trail_.size();
+      size_t trail = trail_.size();
       size_t atom_trail = branch_atoms_.size();
       bool ok = BindTuple(*p.atom, t);
       if (ok) {
@@ -318,7 +318,7 @@ class Evaluator {
           if (!lhs.ok()) return lhs.status();
           util::StatusOr<Polynomial> rhs = TermToPoly(cmp->rhs);
           if (!rhs.ok()) return rhs.status();
-          if (AddConstraint(*lhs - *rhs, cmp->op) == Add::kDead) {
+          if (!AddConstraint(*lhs - *rhs, cmp->op)) {
             ok = false;
             break;
           }
@@ -327,13 +327,9 @@ class Evaluator {
       util::Status status = util::Status::OK();
       if (ok) status = Enumerate(depth + 1);
       // Undo bindings and constraints.
-      while (base_trail_.size() > base_trail) {
-        base_env_.erase(base_trail_.back());
-        base_trail_.pop_back();
-      }
-      while (num_trail_.size() > num_trail) {
-        num_env_.erase(num_trail_.back());
-        num_trail_.pop_back();
+      while (trail_.size() > trail) {
+        env_.erase(trail_.back());
+        trail_.pop_back();
       }
       branch_atoms_.resize(atom_trail);
       return status;
@@ -358,52 +354,40 @@ class Evaluator {
     for (size_t i : p.probe_positions) {
       const AtomArg& a = p.atom->args[i];
       if (a.base().is_var()) {
-        key += base_env_.at(a.base().text());
+        AppendKey(env_.at(a.base().text()), &key);
       } else {
         key += a.base().text();
+        key += kKeySep;
       }
-      key += kKeySep;
     }
     return key;
   }
 
   // Binds one tuple to an atom; returns false if the branch dies. Leaves the
-  // trails holding whatever was pushed (caller rolls back).
+  // trail holding whatever was pushed (caller rolls back). Every position
+  // compares as a model::Value, against the constant argument or the
+  // variable's binding. For a numeric null, equality with anything but
+  // itself is a measure-zero witness (z = c, z = z'), so it is pruned too.
   bool BindTuple(const CqAtom& atom, const Tuple& t) {
     for (size_t i = 0; i < atom.args.size(); ++i) {
       const AtomArg& a = atom.args[i];
-      if (a.sort() == Sort::kBase) {
-        const std::string& val = t[i].base_const();
-        if (a.base().is_var()) {
-          auto [it, inserted] = base_env_.try_emplace(a.base().text(), val);
-          if (inserted) {
-            base_trail_.push_back(a.base().text());
-          } else if (it->second != val) {
-            return false;
-          }
-        } else if (a.base().text() != val) {
+      const Value& v = t[i];
+      if (a.sort() == Sort::kBase && !a.base().is_var()) {
+        if (v.kind() != Value::Kind::kBaseConst ||
+            v.base_const() != a.base().text()) {
           return false;
         }
+      } else if (a.sort() == Sort::kNum &&
+                 a.term().kind() == Term::Kind::kConst) {
+        if (v != Value::NumConst(a.term().const_value())) return false;
       } else {
-        const Term& term = a.term();
-        if (term.kind() == Term::Kind::kConst) {
-          if (AddConstraint(ValueToPoly(t[i]) -
-                                Polynomial::Constant(term.const_value()),
-                            CmpOp::kEq) == Add::kDead) {
-            return false;
-          }
-        } else {
-          const std::string& name = term.var_name();
-          auto [it, inserted] = num_env_.try_emplace(name, t[i]);
-          if (inserted) {
-            num_trail_.push_back(name);
-          } else if (!(it->second == t[i])) {
-            // Rebinding to a different value: requires pointwise equality.
-            if (AddConstraint(ValueToPoly(it->second) - ValueToPoly(t[i]),
-                              CmpOp::kEq) == Add::kDead) {
-              return false;
-            }
-          }
+        const std::string& name =
+            a.sort() == Sort::kBase ? a.base().text() : a.term().var_name();
+        auto [it, inserted] = env_.try_emplace(name, v);
+        if (inserted) {
+          trail_.push_back(name);
+        } else if (it->second != v) {
+          return false;
         }
       }
     }
@@ -412,9 +396,10 @@ class Evaluator {
 
   util::Status FinishWitness() {
     ++witnesses_enumerated_;
-    if (witnesses_enumerated_ > options_.max_witnesses) {
+    if (witnesses_enumerated_ > kMaxWitnesses) {
       return util::Status::ResourceExhausted(
-          "witness enumeration exceeded max_witnesses");
+          "witness enumeration exceeded " + std::to_string(kMaxWitnesses) +
+          " witnesses");
     }
     // Build the output tuple.
     Tuple out;
@@ -423,13 +408,11 @@ class Evaluator {
       if (v.sort == Sort::kBase) {
         std::string root = Canon(v.name);
         auto cit = const_binding_.find(root);
-        const std::string& s =
-            cit != const_binding_.end() ? cit->second : base_env_.at(root);
-        auto it = null_names_.find(s);
-        out.push_back(it != null_names_.end() ? it->second
-                                              : Value::BaseConst(s));
+        out.push_back(cit != const_binding_.end()
+                          ? Value::BaseConst(cit->second)
+                          : env_.at(root));
       } else {
-        out.push_back(num_env_.at(v.name));
+        out.push_back(env_.at(v.name));
       }
     }
     auto it = candidates_.find(out);
@@ -451,25 +434,21 @@ class Evaluator {
     return util::Status::OK();
   }
 
+  const Database& db_;
   const ConjunctiveQuery& cq_;
   ConjunctiveQuery rewritten_;
   bool impossible_ = false;
   std::unordered_map<std::string, std::string> parent_;       // union-find
   std::unordered_map<std::string, std::string> const_binding_;  // root -> const
-  EvalOptions options_;
-  model::Valuation vbase_;
-  Database vdb_;
-  std::map<std::string, Value> null_names_;  // valuated name -> original ⊥
   std::unordered_map<NullId, int> z_index_;
   std::vector<NullId> null_order_;
 
   std::vector<PlannedAtom> plan_;
   std::set<const CqComparison*> scheduled_cmp_;
 
-  std::unordered_map<std::string, std::string> base_env_;
-  std::unordered_map<std::string, Value> num_env_;
-  std::vector<std::string> base_trail_;
-  std::vector<std::string> num_trail_;
+  /// Every bound variable, base or numeric, and the order it was bound in.
+  std::unordered_map<std::string, Value> env_;
+  std::vector<std::string> trail_;
   std::vector<RealFormula> branch_atoms_;
 
   std::map<Tuple, CandidateState> candidates_;
@@ -480,22 +459,20 @@ class Evaluator {
 }  // namespace
 
 util::StatusOr<EvalResult> EvaluateCq(const model::Database& db,
-                                      const ConjunctiveQuery& cq,
-                                      const EvalOptions& options) {
-  Evaluator evaluator(db, cq, options);
+                                      const ConjunctiveQuery& cq) {
+  Evaluator evaluator(db, cq);
   return evaluator.Run();
 }
 
 util::StatusOr<EvalResult> EvaluateUnion(const model::Database& db,
-                                         const UnionQuery& query,
-                                         const EvalOptions& options) {
+                                         const UnionQuery& query) {
   MUDB_RETURN_IF_ERROR(query.Validate(db));
   EvalResult merged;
   std::map<Tuple, size_t> index;  // output tuple -> position in candidates
   for (const ConjunctiveQuery& branch : query.branches) {
     ConjunctiveQuery unlimited = branch;
     unlimited.limit.reset();  // the union's limit applies after merging
-    MUDB_ASSIGN_OR_RETURN(EvalResult r, EvaluateCq(db, unlimited, options));
+    MUDB_ASSIGN_OR_RETURN(EvalResult r, EvaluateCq(db, unlimited));
     if (merged.null_order.empty()) merged.null_order = r.null_order;
     merged.witnesses_enumerated += r.witnesses_enumerated;
     for (Candidate& c : r.candidates) {

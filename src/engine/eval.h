@@ -2,8 +2,9 @@
 // databases — the paper's §9 pipeline (what Postgres + the "compact
 // representation of φ_{q,D,a,s}" did in the authors' prototype).
 //
-// Semantics: base nulls behave naively (a null joins only with itself,
-// Prop. 5.2's bijective valuation); numeric nulls flow through joins and
+// Semantics: base nulls behave naively (Prop. 5.2): the database is read
+// in place and base values compare as model::Values, so a null equals only
+// itself and no query constant. Numeric nulls flow through joins and
 // comparisons symbolically. Every join witness of an output tuple
 // contributes one DNF disjunct: the conjunction of the arithmetic atoms the
 // witness requires, with numeric nulls replaced by z-variables. The measure
@@ -11,8 +12,8 @@
 // engines in src/measure.
 //
 // Witnesses whose constraints force a numeric null to equal a point value
-// (z = c, z = z') span measure-zero sets; with prune_measure_zero (default)
-// they are dropped, which does not change μ.
+// (z = c, z = z') span measure-zero sets; they are dropped, which does not
+// change μ.
 
 #ifndef MUDB_SRC_ENGINE_EVAL_H_
 #define MUDB_SRC_ENGINE_EVAL_H_
@@ -39,13 +40,6 @@ struct Candidate {
   bool certain = false;
 };
 
-struct EvalOptions {
-  /// Drop measure-zero witnesses (pointwise numeric equalities on nulls).
-  bool prune_measure_zero = true;
-  /// Abort with ResourceExhausted beyond this many enumerated witnesses.
-  size_t max_witnesses = 50'000'000;
-};
-
 struct EvalResult {
   /// Candidates in enumeration order (at most cq.limit if set).
   std::vector<Candidate> candidates;
@@ -56,17 +50,16 @@ struct EvalResult {
 };
 
 /// Evaluates a conjunctive query, producing candidates with constraints.
+/// Fails with ResourceExhausted past 50,000,000 enumerated witnesses.
 util::StatusOr<EvalResult> EvaluateCq(const model::Database& db,
-                                      const ConjunctiveQuery& cq,
-                                      const EvalOptions& options = {});
+                                      const ConjunctiveQuery& cq);
 
 /// Evaluates a union of conjunctive queries: branch results are merged by
 /// output tuple (first-appearance order across branches, branch order first)
 /// with constraints OR-ed; a tuple certain in any branch is certain. Branch
 /// LIMITs are ignored — the union's `limit` applies to the merged result.
 util::StatusOr<EvalResult> EvaluateUnion(const model::Database& db,
-                                         const UnionQuery& query,
-                                         const EvalOptions& options = {});
+                                         const UnionQuery& query);
 
 }  // namespace mudb::engine
 

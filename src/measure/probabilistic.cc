@@ -3,6 +3,8 @@
 #include <cmath>
 #include <sstream>
 
+#include "src/util/parallel.h"
+
 namespace mudb::measure {
 
 Distribution Distribution::Uniform(double lo, double hi) {
@@ -106,14 +108,24 @@ util::StatusOr<AfprasResult> ProbabilisticMeasure(
   int64_t m = options.num_samples > 0
                   ? options.num_samples
                   : AfprasSampleCount(options.epsilon, options.delta);
-  std::vector<double> z(dim, 0.0);
-  int64_t hits = 0;
-  for (int64_t s = 0; s < m; ++s) {
-    // Only the used coordinates influence φ; sampling just those implements
-    // the §9 optimization for the probabilistic semantics.
-    for (int v : used) z[v] = dists[v].Sample(rng);
-    if (formula.EvaluateAt(z)) ++hits;
-  }
+  auto count_hits = [&](int64_t samples, util::Rng& local_rng) {
+    std::vector<double> z(dim, 0.0);
+    int64_t hits = 0;
+    for (int64_t s = 0; s < samples; ++s) {
+      // Only the used coordinates influence φ; sampling just those
+      // implements the §9 optimization for the probabilistic semantics.
+      for (int v : used) z[v] = dists[v].Sample(local_rng);
+      if (formula.EvaluateAt(z)) ++hits;
+    }
+    return hits;
+  };
+  // Same parallel contract as the AFPRAS: fixed-size chunks on substreams of
+  // the forked child, so the estimate depends on the seed alone.
+  const int64_t kChunkSamples = 1024;
+  util::Rng base = rng.Fork();
+  int64_t hits = util::ReduceSampleChunks<int64_t>(
+      options.pool, options.num_threads, m, kChunkSamples, base,
+      /*init=*/0, count_hits);
   result.samples = m;
   result.estimate = static_cast<double>(hits) / static_cast<double>(m);
   FillAdditiveInterval(&result, options.epsilon);

@@ -110,10 +110,14 @@ class Valuation {
 };
 
 /// A bijective base valuation w.r.t. a database (Prop. 5.2): maps each base
-/// null ⊥_i to the fresh constant "<prefix><i>", distinct from every base
-/// constant in D and from each other. Under such a valuation μ is unchanged,
-/// which lets every engine ignore base nulls. `extra_base_ids` adds mappings
-/// for base nulls outside the database (e.g. in a candidate tuple, which the
+/// null ⊥_i to the constant "<prefix><i>", distinct from each other and from
+/// every base constant in D (the prefix grows until none starts with it).
+/// The names avoid D's constants only, not those of a query: a query
+/// constant spelled "<prefix><i>" would match ⊥_i, so pick a prefix no query
+/// constant starts with. Under such a valuation μ is unchanged. The engines
+/// do not apply it (they compare base nulls as values, in place); tests use
+/// it as the reference semantics. `extra_base_ids` adds mappings for base
+/// nulls outside the database (e.g. in a candidate tuple, which the
 /// permissive semantics of [28] allows).
 Valuation MakeBijectiveBaseValuation(
     const Database& db, const std::string& prefix = "@null_",

@@ -23,10 +23,11 @@ using model::Value;
 using poly::Polynomial;
 
 /// Variable bindings during the active-domain expansion: base variables map
-/// to base constants (strings; the database has no base nulls at this point),
-/// numeric variables map to polynomials over z (a constant or a z-variable).
+/// to base values (a constant or a base null, compared as Values, so a null
+/// equals only itself: Prop. 5.2), numeric variables map to polynomials over
+/// z (a constant or a z-variable).
 struct Env {
-  std::unordered_map<std::string, std::string> base;
+  std::unordered_map<std::string, Value> base;
   std::unordered_map<std::string, Polynomial> num;
 };
 
@@ -45,9 +46,8 @@ class Grounder {
         for (const Value& v : t) {
           switch (v.kind()) {
             case Value::Kind::kBaseConst:
-              if (seen_base_.insert(v.base_const()).second) {
-                base_domain_.push_back(v.base_const());
-              }
+            case Value::Kind::kBaseNull:
+              if (seen_base_.insert(v).second) base_domain_.push_back(v);
               break;
             case Value::Kind::kNumConst:
               if (seen_num_.insert(v.num_const()).second) {
@@ -58,9 +58,6 @@ class Grounder {
               if (seen_num_null_.insert(v.null_id()).second) {
                 num_domain_.push_back(NumValueToPoly(v));
               }
-              break;
-            case Value::Kind::kBaseNull:
-              // Unreachable: the caller applies a bijective valuation first.
               break;
           }
         }
@@ -93,10 +90,8 @@ class Grounder {
       case Formula::Kind::kRelAtom:
         return GroundRelAtom(f, env);
       case Formula::Kind::kBaseEq: {
-        MUDB_ASSIGN_OR_RETURN(std::string lhs,
-                              ResolveBase(f.base_lhs(), *env));
-        MUDB_ASSIGN_OR_RETURN(std::string rhs,
-                              ResolveBase(f.base_rhs(), *env));
+        MUDB_ASSIGN_OR_RETURN(Value lhs, ResolveBase(f.base_lhs(), *env));
+        MUDB_ASSIGN_OR_RETURN(Value rhs, ResolveBase(f.base_rhs(), *env));
         return lhs == rhs ? RealFormula::True() : RealFormula::False();
       }
       case Formula::Kind::kCmp: {
@@ -140,8 +135,8 @@ class Grounder {
     return util::Status::OK();
   }
 
-  util::StatusOr<std::string> ResolveBase(const BaseArg& arg, const Env& env) {
-    if (!arg.is_var()) return arg.text();
+  util::StatusOr<Value> ResolveBase(const BaseArg& arg, const Env& env) {
+    if (!arg.is_var()) return Value::BaseConst(arg.text());
     auto it = env.base.find(arg.text());
     if (it == env.base.end()) {
       return util::Status::InvalidArgument("unbound base variable " +
@@ -183,7 +178,7 @@ class Grounder {
   util::StatusOr<RealFormula> GroundRelAtom(const Formula& f, Env* env) {
     MUDB_ASSIGN_OR_RETURN(const Relation* rel, db_.GetRelation(f.relation()));
     // Pre-resolve arguments once.
-    std::vector<std::string> base_args(f.args().size());
+    std::vector<Value> base_args(f.args().size());
     std::vector<Polynomial> num_args(f.args().size());
     for (size_t i = 0; i < f.args().size(); ++i) {
       const AtomArg& a = f.args()[i];
@@ -199,7 +194,7 @@ class Grounder {
       std::vector<RealFormula> conj;
       for (size_t i = 0; i < t.size() && base_match; ++i) {
         if (t[i].sort() == Sort::kBase) {
-          if (t[i].base_const() != base_args[i]) base_match = false;
+          if (t[i] != base_args[i]) base_match = false;
         } else {
           MUDB_RETURN_IF_ERROR(ChargeAtoms(1));
           Polynomial diff = num_args[i] - NumValueToPoly(t[i]);
@@ -218,11 +213,11 @@ class Grounder {
     std::vector<RealFormula> parts;
     if (var.sort == Sort::kBase) {
       // Save/restore any shadowed binding.
-      std::optional<std::string> saved;
+      std::optional<Value> saved;
       if (auto it = env->base.find(var.name); it != env->base.end()) {
         saved = it->second;
       }
-      for (const std::string& c : base_domain_) {
+      for (const Value& c : base_domain_) {
         env->base[var.name] = c;
         MUDB_ASSIGN_OR_RETURN(RealFormula g, Ground(f.children()[0], env));
         parts.push_back(std::move(g));
@@ -263,9 +258,9 @@ class Grounder {
   size_t atoms_used_ = 0;
   std::unordered_map<NullId, int> z_index_;
   std::vector<NullId> null_order_;
-  std::vector<std::string> base_domain_;
+  std::vector<Value> base_domain_;  // constants and base nulls
   std::vector<Polynomial> num_domain_;
-  std::set<std::string> seen_base_;
+  std::set<Value> seen_base_;
   std::set<double> seen_num_;
   std::set<NullId> seen_num_null_;
 };
@@ -293,41 +288,22 @@ util::StatusOr<GroundResult> GroundQuery(const logic::Query& q,
     }
   }
 
-  // Step 1 (Prop. 5.2): eliminate base nulls with a bijective valuation,
-  // applied consistently to the database and the candidate tuple (whose base
-  // nulls may be outside the database under the permissive semantics of
-  // [28]).
-  std::vector<model::NullId> extra_base_ids;
+  Grounder grounder(db, options);
   for (const model::Value& v : candidate) {
-    if (v.kind() == model::Value::Kind::kBaseNull) {
-      extra_base_ids.push_back(v.null_id());
-    }
-  }
-  model::Valuation vbase =
-      model::MakeBijectiveBaseValuation(db, "@null_", extra_base_ids);
-  model::Database complete_base = vbase.Apply(db);
-  model::Tuple cand;
-  cand.reserve(candidate.size());
-  for (const model::Value& v : candidate) cand.push_back(vbase.Apply(v));
-
-  Grounder grounder(complete_base, options);
-  for (const model::Value& v : cand) {
     if (v.kind() == model::Value::Kind::kNumNull) {
       grounder.EnsureNumNull(v.null_id());
     }
   }
 
-  // Step 2: bind output variables to the candidate tuple.
+  // Bind output variables to the candidate tuple. A base null binds as
+  // itself (step 1), even one outside the database, as the permissive
+  // semantics of [28] allows.
   Env env;
-  for (size_t i = 0; i < cand.size(); ++i) {
+  for (size_t i = 0; i < candidate.size(); ++i) {
     if (q.output[i].sort == model::Sort::kBase) {
-      if (cand[i].kind() != model::Value::Kind::kBaseConst) {
-        return util::Status::InvalidArgument(
-            "candidate base value must be a constant or database null");
-      }
-      env.base[q.output[i].name] = cand[i].base_const();
+      env.base[q.output[i].name] = candidate[i];
     } else {
-      env.num[q.output[i].name] = grounder.NumValueToPoly(cand[i]);
+      env.num[q.output[i].name] = grounder.NumValueToPoly(candidate[i]);
     }
   }
 

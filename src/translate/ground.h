@@ -2,8 +2,10 @@
 // over ⟨R, +, ·, <⟩ (Prop. 5.3 / Thm. 5.4 of the paper).
 //
 // Steps:
-//  1. Base nulls are eliminated with a bijective valuation (Prop. 5.2): each
-//     ⊥_i becomes a fresh base constant, so μ is unchanged.
+//  1. Base nulls stay in place and compare as values (Prop. 5.2): ⊥_i equals
+//     only itself and no constant, which is what a bijective valuation onto
+//     fresh constants gives, without copying the database. The active base
+//     domain holds the database's constants and base nulls.
 //  2. Every numeric null ⊤_i becomes the real variable z_i (indices assigned
 //     in first-appearance order over the database, then the candidate tuple).
 //  3. Base quantifiers expand into finite conjunctions/disjunctions over the
@@ -48,8 +50,9 @@ struct GroundOptions {
 };
 
 /// Grounds query `q` on database `db` for a candidate answer `candidate`
-/// (one model::Value per output variable of `q`, of matching sorts; nulls
-/// must occur in `db`). For Boolean queries pass an empty candidate.
+/// (one model::Value per output variable of `q`, of matching sorts; a null
+/// outside `db` equals nothing in it). For Boolean queries pass an empty
+/// candidate.
 util::StatusOr<GroundResult> GroundQuery(const logic::Query& q,
                                          const model::Database& db,
                                          const model::Tuple& candidate,

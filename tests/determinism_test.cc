@@ -12,6 +12,7 @@
 #include "src/measure/conditional.h"
 #include "src/measure/fpras.h"
 #include "src/measure/measure.h"
+#include "src/measure/probabilistic.h"
 #include "src/util/rng.h"
 
 namespace mudb::measure {
@@ -93,6 +94,28 @@ TEST(DeterminismTest, ConditionalAfprasIsThreadCountInvariant) {
     ASSERT_TRUE(r.ok());
     if (threads == kThreadAxis[0]) {
       baseline = r->estimate;
+    } else {
+      EXPECT_EQ(r->estimate, baseline) << "threads " << threads;
+    }
+  }
+}
+
+TEST(DeterminismTest, ProbabilisticMeasureIsThreadCountInvariant) {
+  RealFormula f = ConeUnion();
+  const std::vector<Distribution> dists{Distribution::Gaussian(0.0, 1.0),
+                                        Distribution::Uniform(-1.0, 2.0),
+                                        Distribution::Exponential(1.5)};
+  double baseline = 0.0;
+  for (int threads : kThreadAxis) {
+    AfprasOptions opts;
+    opts.num_samples = 30000;  // > 1 chunk, uneven tail chunk
+    opts.num_threads = threads;
+    util::Rng rng(11);
+    auto r = ProbabilisticMeasure(f, dists, opts, rng);
+    ASSERT_TRUE(r.ok());
+    if (threads == kThreadAxis[0]) {
+      baseline = r->estimate;
+      EXPECT_GT(baseline, 0.0);
     } else {
       EXPECT_EQ(r->estimate, baseline) << "threads " << threads;
     }

@@ -249,6 +249,35 @@ TEST(ZeroOneLawTest, BaseOnlyQueriesAreZeroOne) {
   }
 }
 
+TEST(ZeroOneLawTest, BaseNullEqualsNoQueryConstant) {
+  // q(a) = ∃n R(a, n) ∧ a = '@null_0' over R = {(⊥0, 1), (b, 2)}: the
+  // constant is spelled like a fresh name for ⊥0, but a null equals only
+  // itself (Prop. 5.2), so ⊥0 is not an answer.
+  Database db;
+  ASSERT_TRUE(db.CreateRelation(RelationSchema("R", {{"a", Sort::kBase},
+                                                     {"n", Sort::kNum}}))
+                  .ok());
+  Value bot0 = db.MakeBaseNull();
+  ASSERT_EQ(bot0.null_id(), 0u);
+  ASSERT_TRUE(db.Insert("R", {bot0, Value::NumConst(1)}).ok());
+  ASSERT_TRUE(
+      db.Insert("R", {Value::BaseConst("b"), Value::NumConst(2)}).ok());
+  std::vector<Formula> parts;
+  parts.push_back(
+      Formula::Rel("R", {AtomArg::BaseVar("a"), AtomArg::NumVar("n")}));
+  parts.push_back(Formula::BaseEq(logic::BaseArg::Var("a"),
+                                  logic::BaseArg::Const("@null_0")));
+  Formula f = Formula::Exists(TypedVar{"n", Sort::kNum},
+                              Formula::And(std::move(parts)));
+  auto q = logic::Query::MakeWithOutput(f, {TypedVar{"a", Sort::kBase}}, db);
+  ASSERT_TRUE(q.ok()) << q.status();
+  MeasureOptions opts;
+  auto mu = ComputeMeasure(*q, db, {bot0}, opts);
+  ASSERT_TRUE(mu.ok()) << mu.status();
+  EXPECT_TRUE(mu->is_exact);
+  EXPECT_DOUBLE_EQ(mu->value, 0.0);
+}
+
 TEST(ZeroOneLawTest, MatchesNaiveEvaluationUnderBijectiveValuation) {
   // Randomized: base-only databases with nulls; μ of each candidate equals
   // membership in the naive evaluation of the valuated (complete) database.

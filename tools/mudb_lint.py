@@ -534,8 +534,7 @@ RULE_DOCS = {
     "no-raw-clock": "raw std::chrono *_clock::now() outside src/obs/clock.cc",
     "no-ambient-entropy": "random_device/rand/srand/time(nullptr)/getenv in src/",
     "no-signgam-lgamma": "lgamma/signgam outside src/geom/geometry.cc",
-    "no-raw-thread": "std::thread et al. outside util::ThreadPool (+2 "
-                     "pragma'd service sites)",
+    "no-raw-thread": "std::thread et al. outside util::ThreadPool",
     "no-threadcount-grid": "thread count linked into chunk/grid arithmetic",
     "no-unordered-iteration-in-results": "range-for over unordered containers "
                                          "in result modules",
