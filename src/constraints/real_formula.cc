@@ -242,6 +242,15 @@ RealFormula RealFormula::RemapVariables(
   return *this;
 }
 
+RealFormula RealFormula::Compacted(std::vector<int>* used) const {
+  std::set<int> vars = UsedVariables();
+  std::vector<int> new_index(vars.empty() ? 0 : *vars.rbegin() + 1, -1);
+  int next = 0;
+  for (int v : vars) new_index[v] = next++;
+  if (used != nullptr) used->assign(vars.begin(), vars.end());
+  return RemapVariables(new_index);
+}
+
 bool RealFormula::EvaluateAt(const std::vector<double>& point) const {
   switch (kind_) {
     case Kind::kTrue:

@@ -103,6 +103,13 @@ class RealFormula {
   std::set<int> UsedVariables() const;
   /// Renames variables according to new_index (see Polynomial::RemapVariables).
   RealFormula RemapVariables(const std::vector<int>& new_index) const;
+  /// The formula over z_0..z_{d−1}: its d used variables renumbered in
+  /// index order. Every engine measures this form (§9: only the nulls that
+  /// occur are sampled) and the request memo keys it, so a formula and any
+  /// order-preserving renumbering of it measure and key alike. When `used`
+  /// is non-null it receives the original indices: (*used)[i] is the
+  /// variable that became z_i. A constant formula comes back unchanged.
+  RealFormula Compacted(std::vector<int>* used = nullptr) const;
 
   /// Truth at a point.
   bool EvaluateAt(const std::vector<double>& point) const;

@@ -54,23 +54,9 @@ util::StatusOr<AfprasResult> Afpras(const constraints::RealFormula& formula,
     return result;
   }
 
-  std::set<int> used = formula.UsedVariables();
-  if (used.empty()) {
-    // Variable-free but not structurally constant (a constant-polynomial
-    // atom the simplifier did not fold, e.g. "1 < 2"): no direction can
-    // change its truth, so ν is decided by one asymptotic evaluation. This
-    // is the input class the kAuto exact engines reject — the dispatch
-    // fallback (measure.cc) lands here and must not trip the non-empty
-    // check below.
-    result.estimate = formula.AsymptoticTruth({}) ? 1.0 : 0.0;
-    result.exact = true;
-    FillAdditiveInterval(&result, options.epsilon);
-    return result;
-  }
-  std::vector<int> remap(*used.rbegin() + 1, -1);
-  int dim = 0;
-  for (int v : used) remap[v] = dim++;
-  const constraints::RealFormula working = formula.RemapVariables(remap);
+  // Sample only the used variables (§9): the others cannot change ν.
+  const constraints::RealFormula working = formula.Compacted();
+  const int dim = working.NumVariables();
   result.sampled_dimension = dim;
 
   int64_t m = options.num_samples > 0
@@ -104,8 +90,7 @@ util::StatusOr<AfprasResult> Afpras(const constraints::RealFormula& formula,
   const int64_t kChunkSamples = 1024;
   util::Rng base = rng.Fork();
   int64_t hits = util::ReduceSampleChunks<int64_t>(
-      options.pool, options.num_threads, m, kChunkSamples, base,
-      /*init=*/0, count_hits);
+      options.pool, m, kChunkSamples, base, /*init=*/0, count_hits);
   result.samples = m;
   result.estimate = static_cast<double>(hits) / static_cast<double>(m);
   FillAdditiveInterval(&result, options.epsilon);

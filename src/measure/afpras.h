@@ -27,14 +27,11 @@ struct AfprasOptions {
   double delta = 0.25;
   /// Overrides the sample count computed from (ε, δ) when > 0.
   int64_t num_samples = 0;
-  /// Worker threads for the sampling loop; 0 or negative = all hardware
-  /// threads. The estimate is bit-identical for any value given the same
-  /// seed: samples are carved into fixed-size chunks, chunk c drawing from
-  /// the substream Rng::Split(c) (see util/parallel.h).
-  int num_threads = 1;
-  /// Optional long-lived pool; when set it is used as-is (num_threads only
-  /// sizes per-call pools) so hot loops over many estimates skip the
-  /// per-call worker spawn. Not owned; one submitter at a time.
+  /// Optional worker pool for the sampling loop; nullptr samples inline on
+  /// the caller's thread. The estimate is bit-identical for any pool given
+  /// the same seed: samples are carved into fixed-size chunks, chunk c
+  /// drawing from the substream Rng::Split(c) (see util/parallel.h). Not
+  /// owned; one submitter at a time.
   util::ThreadPool* pool = nullptr;
 };
 
@@ -48,8 +45,8 @@ struct AfprasResult {
   int64_t samples = 0;
   /// Dimension actually sampled (after restriction to used variables).
   int sampled_dimension = 0;
-  /// True when the estimate is exactly ν — constant and variable-free
-  /// formulae are decided without sampling.
+  /// True when the estimate is exactly ν: a constant formula is decided
+  /// without sampling.
   bool exact = false;
 };
 
@@ -71,9 +68,9 @@ void FillAdditiveInterval(AfprasResult* result, double epsilon);
 
 /// Runs the AFPRAS on φ, sampling directions over only the variables φ uses
 /// (the §9 optimization: the other coordinates cannot change its truth, and
-/// dropping them leaves the directional distribution unchanged). Fails with
-/// InvalidArgument unless ε ∈ (0, 1] and δ ∈ (0, 1). Constant and
-/// variable-free formulae return exactly 0 or 1. Advances
+/// dropping them leaves the directional distribution unchanged), compacted
+/// by RealFormula::Compacted. Fails with InvalidArgument unless ε ∈ (0, 1]
+/// and δ ∈ (0, 1). A constant formula returns exactly 0 or 1. Advances
 /// `rng` by one draw (Rng::Fork) and samples from substreams of the forked
 /// child, so repeated calls with one Rng see fresh randomness while a fresh
 /// same-seeded Rng reproduces the estimate bit-exactly.

@@ -38,18 +38,15 @@ util::StatusOr<AfprasResult> ConditionalAfpras(
 
   // Restrict to the variables occurring in the formula; constraints on
   // unused variables marginalize out (their interval factor cancels in the
-  // numerator/denominator ratio).
-  std::set<int> used = formula.UsedVariables();
-  MUDB_CHECK(!used.empty());
-  std::vector<int> remap(*used.rbegin() + 1, -1);
+  // numerator/denominator ratio). Each range follows its variable.
+  std::vector<int> used;
+  const constraints::RealFormula working = formula.Compacted(&used);
   std::vector<VarRange> var_ranges;
   for (int v : used) {
-    remap[v] = static_cast<int>(var_ranges.size());
     var_ranges.push_back(static_cast<size_t>(v) < ranges.size()
                              ? ranges[v]
                              : VarRange::Free());
   }
-  const constraints::RealFormula working = formula.RemapVariables(remap);
   const int dim = static_cast<int>(var_ranges.size());
   result.sampled_dimension = dim;
 
@@ -84,8 +81,7 @@ util::StatusOr<AfprasResult> ConditionalAfpras(
   const int64_t kChunkSamples = 1024;
   util::Rng base = rng.Fork();
   int64_t hits = util::ReduceSampleChunks<int64_t>(
-      options.pool, options.num_threads, m, kChunkSamples, base,
-      /*init=*/0, count_hits);
+      options.pool, m, kChunkSamples, base, /*init=*/0, count_hits);
   result.samples = m;
   result.estimate = static_cast<double>(hits) / static_cast<double>(m);
   FillAdditiveInterval(&result, options.epsilon);

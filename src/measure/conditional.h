@@ -59,8 +59,9 @@ using VarRanges = std::vector<VarRange>;
 /// Estimates μ_C(φ) for per-variable interval constraints C. Empty ranges
 /// reproduce the unconditional AFPRAS. Fails with InvalidArgument on a
 /// NaN or infinite bound and on an empty interval (lo > hi), naming the
-/// variable. Same Rng contract as Afpras: one Fork draw,
-/// sampling from substreams, bit-identical for any num_threads.
+/// variable. Samples only the variables φ uses (RealFormula::Compacted), each
+/// under its own range. Same Rng contract as Afpras: one Fork draw,
+/// sampling from substreams, bit-identical for any pool size.
 util::StatusOr<AfprasResult> ConditionalAfpras(
     const constraints::RealFormula& formula, const VarRanges& ranges,
     const AfprasOptions& options, util::Rng& rng);

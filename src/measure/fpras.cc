@@ -65,15 +65,6 @@ bool DisjunctToHalfspaces(const Conjunction& conj, int dim,
   return true;
 }
 
-// The caller's long-lived pool when provided, else a per-call pool parked in
-// `local` (ThreadPool(1) is free, so this is cheap on the default path).
-util::ThreadPool* EnsurePool(const FprasOptions& options,
-                             std::optional<util::ThreadPool>* local) {
-  if (options.pool != nullptr) return options.pool;
-  local->emplace(util::ThreadPool::ResolveThreadCount(options.num_threads));
-  return &**local;
-}
-
 }  // namespace
 
 util::StatusOr<FprasBodySet> BuildFprasBodies(
@@ -92,19 +83,9 @@ util::StatusOr<FprasBodySet> BuildFprasBodies(
         "use the AFPRAS for FO(+,\xC2\xB7,<)");
   }
 
-  std::set<int> used = formula.UsedVariables();
-  if (used.empty()) {
-    // Variable-free but not structurally constant (constant-polynomial
-    // atoms): truth is direction-independent, so ν is 0/1 exactly.
-    set.trivial = true;
-    set.trivial_value = formula.AsymptoticTruth({}) ? 1.0 : 0.0;
-    return set;
-  }
   // Sample only the used variables (§9): the others cannot change ν.
-  std::vector<int> remap(*used.rbegin() + 1, -1);
-  int dim = 0;
-  for (int v : used) remap[v] = dim++;
-  const RealFormula working = formula.RemapVariables(remap);
+  const RealFormula working = formula.Compacted();
+  const int dim = working.NumVariables();
   set.sampled_dimension = dim;
 
   MUDB_ASSIGN_OR_RETURN(std::vector<Conjunction> dnf,
@@ -127,24 +108,20 @@ util::StatusOr<FprasBodySet> BuildFprasBodies(
   }
 
   // ... then dispatch the inner-ball LPs as independent tasks and assemble
-  // the surviving bodies in cone order.
-  std::optional<util::ThreadPool> local_pool;
-  util::ThreadPool* pool = EnsurePool(options, &local_pool);
-  // Chunked so each task reuses one InnerBallFinder (LP tableau scratch and
-  // the shared box/margin rows) across its cones. The grid is a function of
-  // the cone count alone and each cone's result depends only on that cone,
-  // so the outcome is identical for any thread count.
+  // the surviving bodies in cone order. Chunked so each task reuses one
+  // InnerBallFinder (LP tableau scratch and the shared box/margin rows)
+  // across its cones. The grid is a function of the cone count alone and
+  // each cone's result depends only on that cone, so the outcome is
+  // identical for any thread count.
   std::vector<std::optional<convex::InnerBall>> inners(cones.size());
   const int num_cones = static_cast<int>(cones.size());
   const int lp_chunks = std::min(num_cones, 64);
-  if (lp_chunks > 0) {
-    pool->ParallelFor(lp_chunks, [&](int64_t c) {
-      convex::InnerBallFinder finder(dim, 1.0);
-      for (int i = static_cast<int>(c); i < num_cones; i += lp_chunks) {
-        inners[i] = finder.Find(cones[i]);
-      }
-    });
-  }
+  util::ThreadPool::RunGrid(options.pool, lp_chunks, [&](int64_t c) {
+    convex::InnerBallFinder finder(dim, 1.0);
+    for (int i = static_cast<int>(c); i < num_cones; i += lp_chunks) {
+      inners[i] = finder.Find(cones[i]);
+    }
+  });
   for (size_t i = 0; i < cones.size(); ++i) {
     if (!inners[i]) continue;  // empty interior: volume 0
     convex::ConvexBody body(dim);
@@ -191,11 +168,9 @@ util::StatusOr<FprasResult> FprasFromBodies(const FprasBodySet& body_set,
     span.Annotate("bodies", static_cast<double>(body_set.bodies.size()));
     span.Annotate("epsilon", options.epsilon);
   }
-  std::optional<util::ThreadPool> local_pool;
-  util::ThreadPool* pool = EnsurePool(options, &local_pool);
   volume::UnionVolumeOptions uopts;
   uopts.epsilon = options.epsilon;
-  uopts.pool = pool;
+  uopts.pool = options.pool;
   uopts.body_cache = options.body_cache;
   MUDB_ASSIGN_OR_RETURN(
       volume::UnionVolumeResult uv,
@@ -224,13 +199,8 @@ util::StatusOr<FprasResult> FprasConjunctive(
     util::Rng& rng) {
   // Checked before the DNF and LP work, which does not read ε.
   MUDB_RETURN_IF_ERROR(ValidateEpsilon(options.epsilon));
-  // One pool serves both halves (the halves each spawn their own only when
-  // called standalone without one).
-  std::optional<util::ThreadPool> local_pool;
-  FprasOptions opts = options;
-  opts.pool = EnsurePool(options, &local_pool);
-  MUDB_ASSIGN_OR_RETURN(FprasBodySet set, BuildFprasBodies(formula, opts));
-  return FprasFromBodies(set, opts, rng);
+  MUDB_ASSIGN_OR_RETURN(FprasBodySet set, BuildFprasBodies(formula, options));
+  return FprasFromBodies(set, options, rng);
 }
 
 }  // namespace mudb::measure

@@ -20,12 +20,12 @@
 // see service_test.cc) without paying for sampling.
 //
 // The expensive stages — per-cone inner-ball LPs, the annealing phases, the
-// Karp–Luby loop — run on a shared util::ThreadPool, with the sampling work
-// carved into RNG substreams by the workload so the estimate is bit-identical
-// for any num_threads (see util/thread_pool.h). Per-body volume estimates
-// draw from streams derived from each body's canonical content key, so an
-// external FprasOptions::body_cache can replay them bit-exactly across
-// requests (see volume/union_volume.h).
+// Karp–Luby loop — run on the caller's util::ThreadPool (inline without
+// one), with the sampling work carved into RNG substreams by the workload so
+// the estimate is bit-identical for any pool size (see util/thread_pool.h).
+// Per-body volume estimates draw from streams derived from each body's
+// canonical content key, so an external FprasOptions::body_cache can replay
+// them bit-exactly across requests (see volume/union_volume.h).
 
 #ifndef MUDB_SRC_MEASURE_FPRAS_H_
 #define MUDB_SRC_MEASURE_FPRAS_H_
@@ -45,15 +45,12 @@ struct FprasOptions {
   /// Target relative error ε ∈ (0, 1]; anything else (NaN included) fails
   /// with InvalidArgument.
   double epsilon = 0.1;
-  /// Worker threads for the sampling pipeline (per-cone LPs, annealing
-  /// phases, the Karp–Luby loop); 0 or negative = all hardware threads.
-  /// The estimate is bit-identical for any value given the same seed: work
-  /// is carved into a grid of RNG substreams independent of the thread
-  /// count (see util/thread_pool.h).
-  int num_threads = 1;
-  /// Optional long-lived pool; when set it is used as-is (num_threads only
-  /// sizes per-call pools) so hot loops over many estimates skip the
-  /// per-call worker spawn. Not owned; one submitter at a time.
+  /// Optional worker pool for the pipeline (per-cone LPs, annealing
+  /// phases, the Karp–Luby loop); nullptr runs it inline on the caller's
+  /// thread. The estimate is bit-identical for any pool given the same
+  /// seed: work is carved into a grid of RNG substreams independent of the
+  /// thread count (see util/thread_pool.h). Not owned; one submitter at a
+  /// time.
   util::ThreadPool* pool = nullptr;
   /// Optional cross-request cache of per-body volume estimates (not owned,
   /// must be thread-safe). Hits skip a body's sampling entirely and are
@@ -102,9 +99,10 @@ struct FprasBodySet {
 };
 
 /// Runs the DNF → cones → inner-ball stages over the variables φ uses
-/// (compacted to z_0..z_{d−1}; unused nulls cannot change ν). Deterministic,
-/// consumes no randomness. Fails with InvalidArgument if some atom is
-/// nonlinear and ResourceExhausted if the DNF has more than 4096 disjuncts.
+/// (RealFormula::Compacted: z_0..z_{d−1}; unused nulls cannot change ν).
+/// Deterministic, consumes no randomness. Fails with InvalidArgument if some
+/// atom is nonlinear and ResourceExhausted if the DNF has more than 4096
+/// disjuncts.
 util::StatusOr<FprasBodySet> BuildFprasBodies(
     const constraints::RealFormula& formula, const FprasOptions& options);
 

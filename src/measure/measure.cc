@@ -43,7 +43,6 @@ util::StatusOr<MeasureResult> RunAfpras(const RealFormula& formula,
   AfprasOptions aopts;
   aopts.epsilon = options.epsilon;
   aopts.delta = options.delta;
-  aopts.num_threads = options.num_threads;
   aopts.pool = options.pool;
   util::Rng rng(options.seed);
   MUDB_ASSIGN_OR_RETURN(AfprasResult ar, Afpras(formula, aopts, rng));
@@ -63,7 +62,6 @@ util::StatusOr<MeasureResult> RunFpras(const RealFormula& formula,
                                        const MeasureOptions& options) {
   FprasOptions fopts;
   fopts.epsilon = options.epsilon;
-  fopts.num_threads = options.num_threads;
   fopts.pool = options.pool;
   fopts.body_cache = options.body_cache;
   util::Rng rng(options.seed);
@@ -134,10 +132,13 @@ util::StatusOr<MeasureResult> ComputeNu(const RealFormula& formula,
 
   if (options.use_z3_shortcuts && OracleAvailable()) {
     // Certificates: unsat ⇒ ν = 0; valid ⇒ ν = 1. Solver failures and
-    // timeouts fall through to the numeric engines.
-    util::StatusOr<bool> sat = OracleIsSatisfiable(formula);
+    // timeouts fall through to the numeric engines. The solver reads the
+    // compacted formula, as every engine does, so renumberings that share a
+    // request-memo key get one solver input.
+    const RealFormula compact = formula.Compacted();
+    util::StatusOr<bool> sat = OracleIsSatisfiable(compact);
     if (sat.ok() && !*sat) return ExactConstantResult(0.0, options.method);
-    util::StatusOr<bool> valid = OracleIsValid(formula);
+    util::StatusOr<bool> valid = OracleIsValid(compact);
     if (valid.ok() && *valid) return ExactConstantResult(1.0, options.method);
   }
 
@@ -154,24 +155,14 @@ util::StatusOr<MeasureResult> ComputeNu(const RealFormula& formula,
       break;
   }
 
-  // kAuto: prefer exact engines when they are cheap and applicable, but an
-  // exact-engine failure (degenerate inputs the enumeration rejects, e.g. a
-  // constant-polynomial atom the simplifier did not fold) degrades to the
-  // AFPRAS rather than surfacing an error. The fallback passes the caller's
-  // options through whole, so a supplied `pool` (and `body_cache`,
-  // `num_threads`, ...) is honored exactly as on the direct kAfpras path —
-  // the serving layer relies on this when it routes kAuto requests.
+  // kAuto: the exact engines when they are cheap and applicable, else the
+  // AFPRAS with the caller's options whole (pool included), exactly as on
+  // the direct kAfpras path.
   size_t used_vars = formula.UsedVariables().size();
-  if (used_vars <= 2) {
-    util::StatusOr<MeasureResult> exact = RunExact2D(formula);
-    if (exact.ok()) return exact;
-    return RunAfpras(formula, options);
-  }
+  if (used_vars <= 2) return RunExact2D(formula);
   if (IsOrderFormula(formula) &&
       used_vars <= static_cast<size_t>(options.exact_order_max_vars)) {
-    util::StatusOr<MeasureResult> exact = RunExactOrder(formula, options);
-    if (exact.ok()) return exact;
-    return RunAfpras(formula, options);
+    return RunExactOrder(formula, options);
   }
   return RunAfpras(formula, options);
 }
@@ -206,7 +197,6 @@ util::StatusOr<MeasureResult> ComputeConditionalMeasure(
   AfprasOptions aopts;
   aopts.epsilon = options.epsilon;
   aopts.delta = options.delta;
-  aopts.num_threads = options.num_threads;
   aopts.pool = options.pool;
   util::Rng rng(options.seed);
   MUDB_ASSIGN_OR_RETURN(

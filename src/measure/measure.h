@@ -7,7 +7,6 @@
 //   logic::Query q = ...;                     // FO(+,·,<)
 //   model::Tuple candidate = ...;             // one value per output column
 //   measure::MeasureOptions opts;
-//   opts.num_threads = 0;                     // 0 = all hardware threads
 //   auto result = measure::ComputeMeasure(q, db, candidate, opts);
 //   // result->value ∈ [0, 1]; result->is_exact tells whether it is exact.
 //
@@ -16,10 +15,18 @@
 // AFPRAS of Thm. 8.1. The FPRAS of Thm. 7.1 must be requested explicitly
 // (its multiplicative guarantee is stronger but its constants are larger).
 //
-// The randomized engines run on the shared parallel sampling runtime
-// (util/thread_pool.h): given the same seed, any num_threads value returns
-// bit-identical results, because sampling work is carved into RNG substreams
-// by the workload, never by the thread count.
+// Every engine, the Z3 shortcut included, reads φ.Compacted()
+// (constraints/real_formula.h): the variables φ uses, renumbered
+// z_0..z_{d−1} in index order (§9: only the nulls that occur are sampled).
+// So a result is a function of the compacted formula and the options: an
+// order-preserving renaming of φ's variables returns it bit-identically, and
+// the serving layer's request memo keys on exactly that
+// (service/request_key.h).
+//
+// The randomized engines run on the caller's `pool` (util/thread_pool.h), or
+// inline without one: given the same seed, any pool size returns
+// bit-identical results, because sampling work is carved into RNG
+// substreams by the workload, never by the thread count.
 //
 // Evaluating many candidates over one database? Use the serving layer
 // (src/service/measure_service.h): it batches ComputeMeasure-equivalent
@@ -81,13 +88,10 @@ struct MeasureOptions {
   /// query-level entry points: bounds the work a single request can cost
   /// before sampling starts. Exceeding it fails with ResourceExhausted.
   size_t max_ground_atoms = 2'000'000;
-  /// Worker threads for the randomized engines (AFPRAS, conditional AFPRAS,
-  /// FPRAS); 0 or negative = all hardware threads. Estimates are
-  /// bit-identical for any value given the same seed.
-  int num_threads = 1;
-  /// Optional long-lived pool for per-candidate loops: when set, the
-  /// engines use it as-is instead of spawning workers per call. Not owned;
-  /// one submitter at a time (share across sequential calls only).
+  /// Optional worker pool for the randomized engines (AFPRAS, conditional
+  /// AFPRAS, FPRAS); nullptr runs them inline on the caller's thread.
+  /// Estimates are bit-identical for any pool given the same seed. Not
+  /// owned; one submitter at a time (share across sequential calls only).
   util::ThreadPool* pool = nullptr;
   /// Optional cross-call cache of per-body volume estimates for the FPRAS
   /// path (not owned, must be thread-safe; see volume/union_volume.h and

@@ -135,27 +135,13 @@ util::StatusOr<util::Rational> NuExactOrder(
   if (formula.kind() == RealFormula::Kind::kTrue) return Rational(1);
   if (formula.kind() == RealFormula::Kind::kFalse) return Rational(0);
 
-  // Compact the variable indices.
-  std::set<int> used = formula.UsedVariables();
-  const int k = static_cast<int>(used.size());
-  if (k == 0) {
-    // No variables but not a constant formula: cannot happen, atoms over
-    // constant polynomials are folded at construction.
-    return util::Status::Internal("variable-free non-constant formula");
-  }
+  const RealFormula compact = formula.Compacted();
+  const int k = compact.NumVariables();
   if (k > max_vars) {
     return util::Status::ResourceExhausted(
         "order-exact enumeration over " + std::to_string(k) +
         " variables exceeds max_vars = " + std::to_string(max_vars));
   }
-  std::vector<int> remap;
-  {
-    int max_idx = *used.rbegin();
-    remap.assign(max_idx + 1, -1);
-    int next = 0;
-    for (int v : used) remap[v] = next++;
-  }
-  RealFormula compact = formula.RemapVariables(remap);
 
   std::vector<RealAtom> atoms;
   compact.CollectAtoms(&atoms);
@@ -204,25 +190,13 @@ util::StatusOr<double> NuExact2D(const constraints::RealFormula& formula) {
   if (formula.kind() == RealFormula::Kind::kTrue) return 1.0;
   if (formula.kind() == RealFormula::Kind::kFalse) return 0.0;
 
-  std::set<int> used = formula.UsedVariables();
-  if (used.size() > 2) {
+  const RealFormula compact = formula.Compacted();
+  const int dim = compact.NumVariables();
+  if (dim > 2) {
     return util::Status::InvalidArgument(
-        "NuExact2D requires at most 2 variables, got " +
-        std::to_string(used.size()));
+        "NuExact2D requires at most 2 variables, got " + std::to_string(dim));
   }
-  std::vector<int> remap;
-  {
-    int max_idx = used.empty() ? -1 : *used.rbegin();
-    remap.assign(max_idx + 1, -1);
-    int next = 0;
-    for (int v : used) remap[v] = next++;
-  }
-  RealFormula compact = formula.RemapVariables(remap);
-
-  if (used.empty()) {
-    return util::Status::Internal("variable-free non-constant formula");
-  }
-  if (used.size() == 1) {
+  if (dim == 1) {
     double pos = compact.AsymptoticTruth({1.0}) ? 1.0 : 0.0;
     double neg = compact.AsymptoticTruth({-1.0}) ? 1.0 : 0.0;
     return 0.5 * (pos + neg);

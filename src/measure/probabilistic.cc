@@ -124,8 +124,7 @@ util::StatusOr<AfprasResult> ProbabilisticMeasure(
   const int64_t kChunkSamples = 1024;
   util::Rng base = rng.Fork();
   int64_t hits = util::ReduceSampleChunks<int64_t>(
-      options.pool, options.num_threads, m, kChunkSamples, base,
-      /*init=*/0, count_hits);
+      options.pool, m, kChunkSamples, base, /*init=*/0, count_hits);
   result.samples = m;
   result.estimate = static_cast<double>(hits) / static_cast<double>(m);
   FillAdditiveInterval(&result, options.epsilon);

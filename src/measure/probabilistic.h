@@ -54,8 +54,8 @@ class Distribution {
 /// Estimates P(φ(z)) when z_i ~ dists[i] independently. Every variable used
 /// by φ must have a valid distribution (InvalidArgument naming z_i
 /// otherwise). Samples run in fixed-size chunks on substreams of rng.Fork(),
-/// on options.pool or options.num_threads workers, so the estimate is
-/// bit-identical for every thread count.
+/// on options.pool or inline without one, so the estimate is bit-identical
+/// for every pool size.
 util::StatusOr<AfprasResult> ProbabilisticMeasure(
     const constraints::RealFormula& formula,
     const std::vector<Distribution>& dists, const AfprasOptions& options,

@@ -57,7 +57,7 @@ struct ServiceOptions {
 struct MeasureRequest {
   std::optional<constraints::RealFormula> formula;
   /// Per-request engine options (method, ε/δ, seed, ...). The service fills
-  /// in pool and body_cache; num_threads cannot change results.
+  /// in pool and body_cache, which cannot change results.
   measure::MeasureOptions options;
 
   static MeasureRequest Nu(constraints::RealFormula f,

@@ -11,8 +11,8 @@
 // quarter of the cold ranking's sampling steps).
 //
 // How incrementality works — replay, don't patch. Every tier evaluation the
-// ladder performs is a pure function of its request signature
-// (request_key.h: formula content × method × ε × δ × seed), and the
+// ladder performs is a pure function of its request signature (request_key.h:
+// compacted formula content × method × ε × δ × seed), and the
 // MeasureService memoizes results by that signature. Rerank re-runs the
 // full ladder decision procedure over the current candidate set from tier
 // 0 — pruning thresholds, freezes, and the tier schedule are all
@@ -26,7 +26,11 @@
 // Invalidation is content-keyed, not positional and not wall-clock: a
 // mutated candidate's new grounded formula produces new signatures, so its
 // stale results are simply never looked up again; a mutation that grounds
-// to the identical content is a no-op and keeps every warm interval.
+// to the identical content, up to an order-preserving renumbering of its
+// variables, is a no-op and keeps every warm interval. That is the common
+// case of a database write: refining one null shifts the z-indices of every
+// later null, but not their order, so only the answers that read the
+// refined null are invalidated.
 // Untouched candidates keep their warm tiers and pay nothing — unless the
 // ranking's pruning threshold moved enough that the replay walks them
 // through a tier they never ran before, in which case exactly those new
@@ -90,7 +94,8 @@ struct RankingDelta {
   std::vector<CandidateId> removals;
   /// Body mutations: the candidate's request is replaced wholesale (the
   /// grounded content decides invalidation — an update that grounds to the
-  /// same signature keeps every warm estimate).
+  /// same signature, such as an order-preserving renumbering of the same
+  /// formula, keeps every warm estimate).
   std::vector<std::pair<CandidateId, MeasureRequest>> updates;
 };
 

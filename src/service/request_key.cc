@@ -54,7 +54,9 @@ convex::CanonicalBodyKey RequestSignature(
     const constraints::RealFormula& formula,
     const measure::MeasureOptions& options) {
   util::FingerprintHasher hasher(kRequestDomain);
-  AbsorbFormula(formula, &hasher);
+  // The engines measure the compacted formula (measure.h), so keying on it
+  // makes an order-preserving renumbering of the nulls a memo hit.
+  AbsorbFormula(formula.Compacted(), &hasher);
   hasher.Absorb(kOptionsMarker);
   hasher.Absorb(static_cast<uint64_t>(options.method));
   hasher.AbsorbDouble(options.epsilon);
@@ -63,8 +65,8 @@ convex::CanonicalBodyKey RequestSignature(
   hasher.Absorb(static_cast<uint64_t>(options.use_z3_shortcuts));
   hasher.Absorb(static_cast<uint64_t>(
       static_cast<int64_t>(options.exact_order_max_vars)));
-  // num_threads / pool / body_cache are deliberately absent: the
-  // determinism contract guarantees they cannot change a result.
+  // pool / body_cache are deliberately absent: the determinism contract
+  // guarantees they cannot change a result.
   return convex::CanonicalBodyKey{hasher.Digest()};
 }
 

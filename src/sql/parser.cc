@@ -1,5 +1,6 @@
 #include "src/sql/parser.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdint>
 #include <map>
@@ -152,12 +153,22 @@ class Lexer {
 
 // ---- Parser / binder -------------------------------------------------------
 
+// The deepest expression the parser accepts. Parentheses, unary minus and
+// each operator of a + - * / chain add one level, so this bounds both the
+// parser's recursion and the depth of the logic::Term it builds, which
+// later passes walk recursively. Deeper input fails with InvalidArgument
+// instead of overflowing the stack. A parenthesis level is three parser
+// frames, about 9 KB of stack in an ASan debug build, so 1000 levels
+// overflow an 8 MB stack there; 256 levels take about a quarter of it.
+constexpr int kMaxExprDepth = 256;
+
 // An expression is either a numeric term or a base argument; which one is
 // determined by the column sorts during parsing.
 struct Expr {
   bool is_base = false;
   Term term;        // valid when !is_base
   BaseArg base = BaseArg::Var("");  // valid when is_base
+  int depth = 0;    // nesting levels, as counted for kMaxExprDepth
 };
 
 class Parser {
@@ -345,7 +356,16 @@ class Parser {
     return *found;
   }
 
-  util::StatusOr<Expr> ParseFactor() {
+  // Fails once an expression nests deeper than kMaxExprDepth.
+  util::Status CheckDepth(int depth) const {
+    if (depth <= kMaxExprDepth) return util::Status::OK();
+    return Error("expression nests deeper than the limit of " +
+                 std::to_string(kMaxExprDepth) + " levels");
+  }
+
+  // `depth` counts the parentheses and unary minus signs enclosing the
+  // factor, so the recursion stops at kMaxExprDepth.
+  util::StatusOr<Expr> ParseFactor(int depth) {
     if (Peek().kind == TokKind::kNumber) {
       Expr e;
       e.term = Term::Const(Peek().number);
@@ -360,14 +380,20 @@ class Parser {
       return e;
     }
     if (Accept("-")) {
-      MUDB_ASSIGN_OR_RETURN(Expr inner, ParseFactor());
+      MUDB_RETURN_IF_ERROR(CheckDepth(depth + 1));
+      MUDB_ASSIGN_OR_RETURN(Expr inner, ParseFactor(depth + 1));
       if (inner.is_base) return Error("cannot negate a base-typed value");
       inner.term = Term::Neg(std::move(inner.term));
+      ++inner.depth;
+      MUDB_RETURN_IF_ERROR(CheckDepth(inner.depth));
       return inner;
     }
     if (Accept("(")) {
-      MUDB_ASSIGN_OR_RETURN(Expr inner, ParseExpr());
+      MUDB_RETURN_IF_ERROR(CheckDepth(depth + 1));
+      MUDB_ASSIGN_OR_RETURN(Expr inner, ParseExpr(depth + 1));
       if (!Accept(")")) return Error("expected ')'");
+      ++inner.depth;
+      MUDB_RETURN_IF_ERROR(CheckDepth(inner.depth));
       return inner;
     }
     if (Peek().kind == TokKind::kIdent) {
@@ -386,17 +412,19 @@ class Parser {
     return Error("expected an expression, found '" + Peek().raw + "'");
   }
 
-  util::StatusOr<Expr> ParseTerm() {
-    MUDB_ASSIGN_OR_RETURN(Expr lhs, ParseFactor());
+  util::StatusOr<Expr> ParseTerm(int depth) {
+    MUDB_ASSIGN_OR_RETURN(Expr lhs, ParseFactor(depth));
     while (true) {
       bool mul = Peek().kind == TokKind::kSymbol && Peek().text == "*";
       bool div = Peek().kind == TokKind::kSymbol && Peek().text == "/";
       if (!mul && !div) return lhs;
       Advance();
-      MUDB_ASSIGN_OR_RETURN(Expr rhs, ParseFactor());
+      MUDB_ASSIGN_OR_RETURN(Expr rhs, ParseFactor(depth));
       if (lhs.is_base || rhs.is_base) {
         return Error("arithmetic on base-typed values");
       }
+      lhs.depth = std::max(lhs.depth, rhs.depth) + 1;
+      MUDB_RETURN_IF_ERROR(CheckDepth(lhs.depth));
       if (mul) {
         lhs.term = Term::Mul(std::move(lhs.term), std::move(rhs.term));
       } else {
@@ -412,24 +440,26 @@ class Parser {
     }
   }
 
-  util::StatusOr<Expr> ParseExpr() {
-    MUDB_ASSIGN_OR_RETURN(Expr lhs, ParseTerm());
+  util::StatusOr<Expr> ParseExpr(int depth) {
+    MUDB_ASSIGN_OR_RETURN(Expr lhs, ParseTerm(depth));
     while (true) {
       bool add = Peek().kind == TokKind::kSymbol && Peek().text == "+";
       bool sub = Peek().kind == TokKind::kSymbol && Peek().text == "-";
       if (!add && !sub) return lhs;
       Advance();
-      MUDB_ASSIGN_OR_RETURN(Expr rhs, ParseTerm());
+      MUDB_ASSIGN_OR_RETURN(Expr rhs, ParseTerm(depth));
       if (lhs.is_base || rhs.is_base) {
         return Error("arithmetic on base-typed values");
       }
+      lhs.depth = std::max(lhs.depth, rhs.depth) + 1;
+      MUDB_RETURN_IF_ERROR(CheckDepth(lhs.depth));
       lhs.term = add ? Term::Add(std::move(lhs.term), std::move(rhs.term))
                      : Term::Sub(std::move(lhs.term), std::move(rhs.term));
     }
   }
 
   util::Status ParseConjunct() {
-    MUDB_ASSIGN_OR_RETURN(Expr lhs, ParseExpr());
+    MUDB_ASSIGN_OR_RETURN(Expr lhs, ParseExpr(0));
     CmpOp op;
     if (Accept("=")) {
       op = CmpOp::kEq;
@@ -446,7 +476,7 @@ class Parser {
     } else {
       return Error("expected a comparison operator");
     }
-    MUDB_ASSIGN_OR_RETURN(Expr rhs, ParseExpr());
+    MUDB_ASSIGN_OR_RETURN(Expr rhs, ParseExpr(0));
     if (lhs.is_base != rhs.is_base) {
       return Error("comparison mixes base and numeric operands");
     }

@@ -12,7 +12,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "src/util/rng.h"
@@ -22,14 +21,12 @@ namespace mudb::util {
 
 /// Carves [0, total) into fixed-size chunks and returns
 ///     init + Σ_c fn(count_c, base.Split(c))
-/// reduced in chunk order. Runs on `pool` when non-null; otherwise spawns a
-/// per-call pool of ResolveThreadCount(num_threads) workers when that buys
-/// parallelism, inline when it does not. The result is bit-identical for
-/// every (pool, num_threads) combination. fn is T(int64_t count, Rng&) and
-/// must be safe to call concurrently.
+/// reduced in chunk order. Runs on `pool` when non-null, inline otherwise;
+/// the result is bit-identical either way and for every pool size. fn is
+/// T(int64_t count, Rng&) and must be safe to call concurrently.
 template <typename T, typename Fn>
-T ReduceSampleChunks(ThreadPool* pool, int num_threads, int64_t total,
-                     int64_t chunk_size, const Rng& base, T init, Fn&& fn) {
+T ReduceSampleChunks(ThreadPool* pool, int64_t total, int64_t chunk_size,
+                     const Rng& base, T init, Fn&& fn) {
   const int64_t chunks = (total + chunk_size - 1) / chunk_size;
   std::vector<T> partial(static_cast<size_t>(chunks));
   auto run_chunk = [&](int64_t c) {
@@ -37,14 +34,6 @@ T ReduceSampleChunks(ThreadPool* pool, int num_threads, int64_t total,
     int64_t count = std::min(chunk_size, total - c * chunk_size);
     partial[c] = fn(count, chunk_rng);
   };
-  std::optional<ThreadPool> local;
-  if (pool == nullptr && chunks > 1) {
-    int threads = ThreadPool::ResolveThreadCount(num_threads);
-    if (threads > 1) {
-      local.emplace(threads);
-      pool = &*local;
-    }
-  }
   ThreadPool::RunGrid(pool, chunks, run_chunk);
   T acc = init;
   for (int64_t c = 0; c < chunks; ++c) acc += partial[c];

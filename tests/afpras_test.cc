@@ -9,6 +9,7 @@
 #include "src/measure/afpras.h"
 #include "src/measure/nu_exact.h"
 #include "src/util/rng.h"
+#include "src/util/thread_pool.h"
 
 namespace mudb::measure {
 namespace {
@@ -134,36 +135,15 @@ TEST(AfprasTest, DeterministicGivenSeed) {
   EXPECT_DOUBLE_EQ(a->estimate, b->estimate);
 }
 
-TEST(AfprasTest, RestrictToUsedVarsGivesSameDistribution) {
-  // Formula on variables {0, 7} embedded in an 8-dim space: only the two
-  // used coordinates are sampled (the §9 optimization), so it measures
-  // exactly like the same formula on {0, 1}, draw for draw.
-  auto quadrant = [](int u, int v) {
-    std::vector<RealFormula> parts;
-    parts.push_back(RealFormula::Cmp(-Z(u), CmpOp::kLt));
-    parts.push_back(RealFormula::Cmp(-Z(v), CmpOp::kLt));
-    return RealFormula::And(parts);
-  };
-  AfprasOptions opts;
-  opts.num_samples = 150000;
-  util::Rng rng1(5), rng2(5);
-  auto spread = Afpras(quadrant(0, 7), opts, rng1);
-  auto packed = Afpras(quadrant(0, 1), opts, rng2);
-  ASSERT_TRUE(spread.ok());
-  ASSERT_TRUE(packed.ok());
-  EXPECT_EQ(spread->sampled_dimension, 2);
-  EXPECT_EQ(spread->estimate, packed->estimate);
-  EXPECT_NEAR(spread->estimate, 0.25, 0.01);
-}
-
 TEST(AfprasTest, ParallelSamplingIsDeterministicAndAccurate) {
   std::vector<RealFormula> parts;
   parts.push_back(RealFormula::Cmp(-Z(0), CmpOp::kLt));
   parts.push_back(RealFormula::Cmp(-Z(1), CmpOp::kLt));
   RealFormula f = RealFormula::And(parts);  // quadrant: ν = 1/4
+  util::ThreadPool pool(8);
   AfprasOptions opts;
   opts.num_samples = 200000;
-  opts.num_threads = 4;
+  opts.pool = &pool;
   util::Rng rng1(77), rng2(77);
   auto a = Afpras(f, opts, rng1);
   auto b = Afpras(f, opts, rng2);
@@ -172,12 +152,18 @@ TEST(AfprasTest, ParallelSamplingIsDeterministicAndAccurate) {
   EXPECT_DOUBLE_EQ(a->estimate, b->estimate);  // scheduling-independent
   EXPECT_NEAR(a->estimate, 0.25, 0.01);
   // Substreams are carved by the sample budget, not the thread count, so a
-  // different thread count gives the bit-identical estimate.
-  opts.num_threads = 3;
+  // different pool, or none, gives the bit-identical estimate.
+  util::ThreadPool small_pool(2);
+  opts.pool = &small_pool;
   util::Rng rng3(77);
   auto c = Afpras(f, opts, rng3);
   ASSERT_TRUE(c.ok());
-  EXPECT_DOUBLE_EQ(c->estimate, a->estimate);
+  EXPECT_EQ(c->estimate, a->estimate);
+  opts.pool = nullptr;
+  util::Rng rng4(77);
+  auto d = Afpras(f, opts, rng4);
+  ASSERT_TRUE(d.ok());
+  EXPECT_EQ(d->estimate, a->estimate);
 }
 
 // Property: the additive guarantee |estimate − ν| < ε holds with margin on

@@ -151,16 +151,6 @@ TEST(DispatchTest, ForcedMethodRejectsOutOfScopeFormulas) {
   EXPECT_FALSE(ComputeNu(f, opts).ok());
 }
 
-TEST(DispatchTest, NumThreadsPlumbedThrough) {
-  MeasureOptions opts;
-  opts.method = Method::kAfpras;
-  opts.epsilon = 0.01;
-  opts.num_threads = 4;
-  auto r = ComputeNu(RealFormula::Cmp(Z(0) - Z(1), CmpOp::kLt), opts);
-  ASSERT_TRUE(r.ok());
-  EXPECT_NEAR(r->value, 0.5, 0.02);
-}
-
 TEST(DispatchTest, AutoFallsBackToAfprasBeyondExactOrderBudget) {
   // A 4-variable order chain with the order engine budget pulled below it:
   // kAuto must degrade to the AFPRAS instead of erroring, and the estimate
@@ -184,10 +174,9 @@ TEST(DispatchTest, AutoFallsBackToAfprasBeyondExactOrderBudget) {
 }
 
 TEST(DispatchTest, AutoFallbackHonorsCallerPool) {
-  // The kAuto exact→AFPRAS fallback passes the caller's options through
-  // whole — in particular a supplied long-lived pool and thread count. The
-  // determinism contract then demands a bit-identical estimate with and
-  // without the pool.
+  // kAuto's AFPRAS route passes the caller's options through whole — in
+  // particular a supplied long-lived pool. The determinism contract then
+  // demands a bit-identical estimate with and without the pool.
   std::vector<RealFormula> parts;
   for (int i = 0; i < 3; ++i) {
     parts.push_back(RealFormula::Cmp(Z(i) - Z(i + 1), CmpOp::kLt));
@@ -200,10 +189,9 @@ TEST(DispatchTest, AutoFallbackHonorsCallerPool) {
   ASSERT_TRUE(without.ok());
   EXPECT_EQ(without->method_used, Method::kAfpras);
 
-  util::ThreadPool pool(3);
+  util::ThreadPool pool(2);
   MeasureOptions opts = plain;
   opts.pool = &pool;
-  opts.num_threads = 3;
   auto with_pool = ComputeNu(chain, opts);
   ASSERT_TRUE(with_pool.ok());
   EXPECT_EQ(with_pool->method_used, Method::kAfpras);

@@ -1,5 +1,6 @@
 #include "tests/lattice.h"
 
+#include <algorithm>
 #include <cmath>
 
 namespace mudb::measure {
@@ -31,25 +32,19 @@ util::StatusOr<LatticeRatio> NuLatticeRatio(
   if (radius <= 0) {
     return util::Status::InvalidArgument("radius must be positive");
   }
-  std::set<int> used = formula.UsedVariables();
-  if (used.size() > 3) {
+  const constraints::RealFormula working = formula.Compacted();
+  const int used = working.NumVariables();
+  if (used > 3) {
     return util::Status::InvalidArgument(
         "lattice enumeration supports at most 3 variables, got " +
-        std::to_string(used.size()));
+        std::to_string(used));
   }
-  const int dim = std::max<size_t>(used.size(), 1);
+  const int dim = std::max(used, 1);
   // Budget guard: (2r+1)^dim points.
   double points = std::pow(2.0 * radius + 1.0, dim);
   if (points > 5e8) {
     return util::Status::ResourceExhausted(
         "lattice enumeration too large; reduce the radius");
-  }
-  constraints::RealFormula working = formula;
-  if (!used.empty()) {
-    std::vector<int> remap(*used.rbegin() + 1, -1);
-    int next = 0;
-    for (int v : used) remap[v] = next++;
-    working = formula.RemapVariables(remap);
   }
   LatticeRatio out;
   out.radius = radius;

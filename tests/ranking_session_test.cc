@@ -3,9 +3,10 @@
 // the rerank determinism contract (rerank outcome ≡ cold rank of the same
 // final state, at any thread count, for any delta sequence), the cost of a
 // one-candidate delta (at most a quarter of the cold schedule's sampling
-// steps), content-keyed invalidation (identical-content updates keep every
-// warm tier), warm tiers served by the service's request memo to any
-// session on that service, streaming inserts/removals under
+// steps), content-keyed invalidation (identical-content updates, and
+// order-preserving renumberings of it, keep every warm tier), warm tiers
+// served by the service's request memo to any session on that service,
+// streaming inserts/removals under
 // per_estimate_delta, the tier schedule and its tier budget, all-or-nothing
 // delta failures (a repeated update id included), and introspection.
 
@@ -217,6 +218,35 @@ TEST(RankingSessionTest, IdenticalContentUpdateIsANoOp) {
   ASSERT_TRUE(rerank.ok()) << rerank.status();
   EXPECT_EQ(rerank->invalidated, 0);
   EXPECT_EQ(rerank->total_sampling_steps, 0);
+  EXPECT_EQ(rerank->warm_hits, rerank->evaluations);
+  ExpectSameRanking(*cold, *rerank);
+}
+
+TEST(RankingSessionTest, RenumberedContentUpdateIsANoOp) {
+  // A database write shifts the z-indices of the nulls after the one it
+  // refines, but not their order. Re-send every candidate so renumbered:
+  // the compacted content, and so every signature, is unchanged, and the
+  // update must keep every warm tier.
+  MeasureService service;
+  RankingSession session(&service, WedgeRanking());
+  auto cold = session.Rerank(InsertAll(WedgeBattery()));
+  ASSERT_TRUE(cold.ok()) << cold.status();
+
+  RankingDelta delta;
+  for (int d = 0; d < kWedges; ++d) {
+    MeasureRequest shifted = WedgeRequest(d);
+    shifted.formula = shifted.formula->RemapVariables({d + 3, 2 * d + 40});
+    delta.updates.emplace_back(d, std::move(shifted));
+  }
+  auto rerank = session.Rerank(std::move(delta));
+  ASSERT_TRUE(rerank.ok()) << rerank.status();
+  EXPECT_EQ(rerank->invalidated, 0);
+  EXPECT_EQ(rerank->total_sampling_steps, 0);
+  ASSERT_FALSE(rerank->tier_stats.empty());
+  for (const BatchStats& tier : rerank->tier_stats) {
+    EXPECT_EQ(tier.request_cache_hits, tier.requests);
+    EXPECT_EQ(tier.sampling_steps, 0);
+  }
   EXPECT_EQ(rerank->warm_hits, rerank->evaluations);
   ExpectSameRanking(*cold, *rerank);
 }

@@ -191,6 +191,56 @@ TEST(ServiceTest, SecondIdenticalBatchPerformsZeroSampling) {
   }
 }
 
+TEST(ServiceTest, OrderPreservingRenumberingIsARequestMemoHit) {
+  // A database write shifts later nulls' z-indices but keeps their order.
+  // Every engine measures the compacted formula, and the memo keys it, so
+  // the shifted request is served without sampling — bit-identical to
+  // measuring it directly. With use_z3_shortcuts (live in a MUDB_WITH_Z3
+  // build) the solver reads the compacted formula too: the empty wedge is
+  // its unsat certificate, and the other two fall through to the exact 2-D
+  // engine and the AFPRAS.
+  MeasureOptions shortcuts = Opts(Method::kAuto, 0.05, 11);
+  shortcuts.use_z3_shortcuts = true;
+  std::vector<RealFormula> wedge;
+  wedge.push_back(RealFormula::Cmp(Z(0), CmpOp::kLt));
+  wedge.push_back(RealFormula::Cmp(-Z(2), CmpOp::kLt));
+  wedge.push_back(RealFormula::Cmp(Z(2) - Z(0), CmpOp::kLt));
+  const std::pair<RealFormula, MeasureOptions> cases[] = {
+      {ConeUnion(), Opts(Method::kFpras, 0.3, 11)},
+      {RealFormula::And(std::move(wedge)), shortcuts},
+      {RealFormula::Cmp(Z(0) - Z(2), CmpOp::kLt), shortcuts},
+      {Nonlinear3D(), shortcuts},
+  };
+  for (const auto& [formula, opts] : cases) {
+    SCOPED_TRACE(formula.ToString());
+    const RealFormula shifted = formula.RemapVariables({4, 17, 30});
+    std::vector<MeasureRequest> batch;
+    batch.push_back(MeasureRequest::Nu(formula, opts));
+    batch.push_back(MeasureRequest::Nu(shifted, opts));
+    MeasureService service;
+    auto outcome = service.RunBatch(std::move(batch));
+    EXPECT_EQ(outcome.stats.requests, 2);
+    EXPECT_EQ(outcome.stats.request_cache_hits, 1);
+    ASSERT_TRUE(outcome.results[0].ok());
+    ASSERT_TRUE(outcome.results[1].ok());
+    auto direct = measure::ComputeNu(shifted, opts);
+    ASSERT_TRUE(direct.ok());
+    if (!direct->is_exact) {
+      EXPECT_GT(direct->samples + direct->sampling_steps, 0);
+    }
+    for (const MeasureResult& r : {*outcome.results[0], *outcome.results[1]}) {
+      EXPECT_EQ(r.value, direct->value);
+      EXPECT_EQ(r.ci_lo, direct->ci_lo);
+      EXPECT_EQ(r.ci_hi, direct->ci_hi);
+      EXPECT_EQ(r.is_exact, direct->is_exact);
+      EXPECT_EQ(r.method_used, direct->method_used);
+      EXPECT_EQ(r.samples, direct->samples);
+      EXPECT_EQ(r.sampling_steps, direct->sampling_steps);
+      EXPECT_EQ(r.sampled_dimension, direct->sampled_dimension);
+    }
+  }
+}
+
 // The shared orthant cone as its own formula (the conjunction disjunct of
 // ConeUnion-style unions).
 RealFormula SharedCone() {
@@ -312,12 +362,26 @@ TEST(ServiceTest, RequestSignatureSeparatesOptionsAndFormulas) {
   other_method.method = Method::kAfpras;
   EXPECT_NE(k, RequestSignature(f, other_method));
 
-  // num_threads cannot change a result, so it must not fragment the memo.
-  MeasureOptions other_threads = base;
-  other_threads.num_threads = 8;
-  EXPECT_EQ(k, RequestSignature(f, other_threads));
+  // The pool cannot change a result, so it must not fragment the memo.
+  util::ThreadPool pool(2);
+  MeasureOptions other_pool = base;
+  other_pool.pool = &pool;
+  EXPECT_EQ(k, RequestSignature(f, other_pool));
 
   EXPECT_NE(k, RequestSignature(Halfspace3D(1, 1, 1), base));
+
+  // The key is the compacted formula's: an order-preserving renumbering
+  // shares it. Swapping two variables of an asymmetric formula may change
+  // its estimate, so the key must change too.
+  const RealFormula skewed = Halfspace3D(1, 2, 3);
+  const convex::CanonicalBodyKey skewed_key = RequestSignature(skewed, base);
+  EXPECT_EQ(k, RequestSignature(f.RemapVariables({4, 17, 30}), base));
+  EXPECT_EQ(skewed_key,
+            RequestSignature(skewed.RemapVariables({3, 9, 40}), base));
+  EXPECT_NE(skewed_key,
+            RequestSignature(skewed.RemapVariables({1, 0, 2}), base));
+  EXPECT_NE(skewed_key,
+            RequestSignature(skewed.RemapVariables({0, 2, 1}), base));
 }
 
 // One request through a one-request batch.

@@ -1,5 +1,7 @@
 // Tests for the SQL front-end.
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "src/datagen/datagen.h"
@@ -302,6 +304,48 @@ TEST(SqlParserTest, ParsedQueryExecutes) {
   ASSERT_TRUE(result.ok()) << result.status();
   ASSERT_EQ(result->candidates.size(), 1u);
   EXPECT_TRUE(result->candidates[0].certain);  // 8 <= 18, no nulls involved
+}
+
+// Deeply nested input fails with a Status naming the depth limit instead of
+// overflowing the stack; input exactly at the limit parses and evaluates.
+TEST(SqlParserTest, ExpressionDepthIsBounded) {
+  Database db;
+  ASSERT_TRUE(db.CreateRelation(RelationSchema("R", {{"a", Sort::kNum}})).ok());
+  ASSERT_TRUE(db.Insert("R", {Value::NumConst(5)}).ok());
+  const std::string prefix = "SELECT a FROM R WHERE a < ";
+  auto repeat = [](const std::string& piece, int times) {
+    std::string out;
+    out.reserve(piece.size() * static_cast<size_t>(times));
+    for (int i = 0; i < times; ++i) out += piece;
+    return out;
+  };
+  const std::string too_deep[] = {
+      prefix + repeat("(", 10000) + "1" + repeat(")", 10000),
+      prefix + repeat("-", 100000) + "1",
+      prefix + "1" + repeat(" + 1", 100000),
+      prefix + "1" + repeat(" + 1", 257),
+  };
+  for (const std::string& sql : too_deep) {
+    auto cq = ParseSqlQuery(sql, db);
+    ASSERT_FALSE(cq.ok());
+    EXPECT_EQ(cq.status().code(), util::StatusCode::kInvalidArgument);
+    EXPECT_NE(cq.status().message().find("limit of 256 levels"),
+              std::string::npos)
+        << cq.status();
+  }
+
+  // 256 additions, 256 parentheses and 256 minus signs each nest exactly
+  // 256 levels deep, the limit.
+  auto sum = ParseSqlQuery(prefix + "1" + repeat(" + 1", 256), db);
+  ASSERT_TRUE(sum.ok()) << sum.status();
+  auto result = engine::EvaluateCq(db, *sum);
+  ASSERT_TRUE(result.ok()) << result.status();
+  ASSERT_EQ(result->candidates.size(), 1u);
+  EXPECT_TRUE(result->candidates[0].certain);  // 5 < 257
+  EXPECT_TRUE(
+      ParseSqlQuery(prefix + repeat("(", 256) + "1" + repeat(")", 256), db)
+          .ok());
+  EXPECT_TRUE(ParseSqlQuery(prefix + repeat("-", 256) + "1", db).ok());
 }
 
 // Robustness: mutated inputs must produce a Status, never a crash, and

@@ -421,7 +421,7 @@ TEST(ThreadPoolTest, EmptyAndSingletonGrids) {
   EXPECT_EQ(calls, 1);
 }
 
-TEST(ReduceSampleChunksTest, InvariantAcrossPoolAndThreadChoices) {
+TEST(ReduceSampleChunksTest, InvariantAcrossPoolChoices) {
   auto fn = [](int64_t count, Rng& rng) {
     int64_t hits = 0;
     for (int64_t i = 0; i < count; ++i) hits += rng.Bernoulli(0.5) ? 1 : 0;
@@ -429,16 +429,16 @@ TEST(ReduceSampleChunksTest, InvariantAcrossPoolAndThreadChoices) {
   };
   const Rng base(3);
   int64_t inline_hits =
-      ReduceSampleChunks<int64_t>(nullptr, 1, 10001, 256, base, 0, fn);
+      ReduceSampleChunks<int64_t>(nullptr, 10001, 256, base, 0, fn);
   EXPECT_GT(inline_hits, 4000);
   EXPECT_LT(inline_hits, 6000);
-  // Same grid, same substreams: a shared pool, a per-call pool, and the
-  // inline path all reduce to the identical value (tail chunk included).
-  ThreadPool pool(4);
-  EXPECT_EQ(ReduceSampleChunks<int64_t>(&pool, 1, 10001, 256, base, 0, fn),
-            inline_hits);
-  EXPECT_EQ(ReduceSampleChunks<int64_t>(nullptr, 8, 10001, 256, base, 0, fn),
-            inline_hits);
+  // Same grid, same substreams: pools of any size and the inline path all
+  // reduce to the identical value (tail chunk included).
+  for (int threads : {1, 4}) {
+    ThreadPool pool(threads);
+    EXPECT_EQ(ReduceSampleChunks<int64_t>(&pool, 10001, 256, base, 0, fn),
+              inline_hits);
+  }
 }
 
 TEST(ThreadPoolTest, ResolveThreadCount) {

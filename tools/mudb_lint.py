@@ -31,10 +31,12 @@ Rules (see BUILDING.md "Static analysis" for the policy):
                       ResolveThreadCount(), hardware_concurrency()) linked
                       by arithmetic or assignment to a chunk/grid/lane-
                       shaped identifier. Work grids must be derived from
-                      the workload, never the thread count (the PR 2 rule);
-                      passing both as separate arguments to the audited
-                      seam (util::ReduceSampleChunks) is the sanctioned
-                      pattern and is not flagged.
+                      the workload, never the thread count.
+                      The estimators take a pool, never a thread count, and
+                      hand it with a workload-derived grid to the audited
+                      seams (util::ReduceSampleChunks, ThreadPool::RunGrid);
+                      a thread count and a grid shape passed to a seam as
+                      separate arguments are not flagged.
   no-unordered-iteration-in-results
                       Range-for over a std::unordered_{map,set} (including
                       via typedefs and functions returning one) in result-
@@ -288,8 +290,8 @@ THREAD_TOKENS = {
     "ResolveThreadCount", "hardware_concurrency", "router_threads",
 }
 GRID_SUBSTRINGS = ("chunk", "grid", "lane", "work_item")
-# The audited transfer seams: passing a thread count *and* a grid shape to
-# these as separate arguments is the sanctioned pattern.
+# The audited transfer seams: a thread count *and* a grid shape passed to
+# these as separate arguments are not flagged.
 GRID_IDENT_EXEMPT = {"ReduceSampleChunks", "RunGrid", "PartitionChainGrid"}
 LINK_OPS = set("=*/%+-<>?")
 
